@@ -154,7 +154,7 @@ func BenchmarkSimulateLlama8xH100(b *testing.B) {
 
 // BenchmarkClusterStep times one llama32-1b training step on rail fat-tree
 // clusters under DP×TP×PP with fused compute, hierarchical collectives, and
-// the approximate flow solver — the internal/experiments scale figure's
+// the exact flow solver — the internal/experiments scale figure's
 // configuration, tracked in BENCH_*.json so cluster-scale regressions are
 // visible in benchdiff. The 10000-GPU case is the repo's acceptance bar:
 // simulating one step must stay in single-digit seconds.
@@ -181,7 +181,7 @@ func BenchmarkClusterStep(b *testing.B) {
 					Parallelism: DPTPPP, NumGPUs: c.gpus,
 					TPRanks: c.tp, PPStages: c.pp,
 					TraceBatch: traceBatch, GlobalBatch: c.dp * 4 * traceBatch,
-					MicroBatches: 4, FuseCompute: true, NetApproxTol: 0.01,
+					MicroBatches: 4, FuseCompute: true,
 				})
 				if err != nil {
 					b.Fatal(err)

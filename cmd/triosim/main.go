@@ -44,7 +44,6 @@ func main() {
 		tpRanks      = flag.Int("tp", 0, "tensor-parallel group size for dp+tp+pp")
 		ppStages     = flag.Int("pp", 0, "pipeline stages for dp+tp+pp")
 		fuseCompute  = flag.Bool("fuse-compute", false, "collapse per-op chains into fused tasks (large-scale runs)")
-		netApproxTol = flag.Float64("net-approx-tol", 0, "flow-solver approximate-equilibrium tolerance (0 = exact)")
 		iterations   = flag.Int("iterations", 1, "training iterations to simulate")
 		validate     = flag.Bool("validate", false, "also run the hardware emulator and report error")
 		memCheck     = flag.Bool("memory", false, "estimate per-GPU peak memory and capacity fit")
@@ -123,7 +122,6 @@ func main() {
 		TPRanks:      *tpRanks,
 		PPStages:     *ppStages,
 		FuseCompute:  *fuseCompute,
-		NetApproxTol: *netApproxTol,
 	}
 	if *tracePath != "" {
 		tr, err := triosim.ReadTrace(*tracePath)

@@ -22,8 +22,10 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"triosim/internal/core"
@@ -202,21 +204,26 @@ type RunSpec struct {
 	TPRanks     int           `json:"tp_ranks,omitempty"`
 	PPStages    int           `json:"pp_stages,omitempty"`
 	FuseCompute bool          `json:"fuse_compute,omitempty"`
-	// NetApproxTol enables the flow network's approximate-equilibrium mode
-	// (0 = exact). See docs/TOPOLOGY.md.
-	NetApproxTol float64       `json:"net_approx_tol,omitempty"`
-	Topology     *TopologySpec `json:"topology,omitempty"`
+	Topology    *TopologySpec `json:"topology,omitempty"`
 }
 
-// Load reads a RunSpec from a JSON file.
+// Load reads a RunSpec from a JSON file. Decoding is strict: a field the
+// spec does not have (a typo, or one a newer version removed) is an error
+// naming the file and the field rather than a silently ignored setting, as
+// is anything after the spec's closing brace.
 func Load(path string) (*RunSpec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var spec RunSpec
-	if err := json.Unmarshal(data, &spec); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		return nil, fmt.Errorf("config: %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("config: %s: data after the run spec", path)
 	}
 	return &spec, nil
 }
@@ -244,7 +251,6 @@ func (s *RunSpec) ToCore() (core.Config, error) {
 		TPRanks:      s.TPRanks,
 		PPStages:     s.PPStages,
 		FuseCompute:  s.FuseCompute,
-		NetApproxTol: s.NetApproxTol,
 	}
 	if s.Topology != nil {
 		topo, err := s.Topology.Build()

@@ -3,6 +3,7 @@ package config
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"triosim/internal/core"
@@ -127,6 +128,43 @@ func TestExtraLinks(t *testing.T) {
 	route, err := topo.Route(gpus[0], gpus[3])
 	if err != nil || len(route) != 1 {
 		t.Fatalf("chord not used: %v, %v", route, err)
+	}
+}
+
+// Load decodes strictly: an unknown or removed field — at the top level or
+// inside the topology — and trailing data fail with the file named, and
+// with the field named when there is one, instead of being ignored.
+func TestLoadRejectsUnknownFields(t *testing.T) {
+	for name, tc := range map[string]struct {
+		body, want string
+	}{
+		"removed solver tolerance": {
+			`{"model": "resnet18", "platform": "P2", "net_approx_tol": 0.01}`,
+			`unknown field "net_approx_tol"`},
+		"misspelled field": {
+			`{"model": "resnet18", "platfrom": "P2"}`,
+			`unknown field "platfrom"`},
+		"unknown topology field": {
+			`{"model": "resnet18", "topology": {"kind": "ring", "gbps": 1}}`,
+			`unknown field "gbps"`},
+		"trailing data": {
+			`{"model": "resnet18"} {"model": "vgg16"}`,
+			"data after the run spec"},
+		"trailing brace": {
+			`{"model": "resnet18"}}`,
+			"data after the run spec"},
+	} {
+		path := writeSpec(t, tc.body)
+		_, err := Load(path)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, path) ||
+			!strings.Contains(msg, tc.want) {
+			t.Errorf("%s: error %q does not name %s and %q", name, msg, path,
+				tc.want)
+		}
 	}
 }
 

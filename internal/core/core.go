@@ -96,10 +96,6 @@ type Config struct {
 	// FuseCompute collapses sequential op chains into single compute tasks
 	// (see extrapolator.Config.FuseCompute). Needed for cluster-scale runs.
 	FuseCompute bool
-	// NetApproxTol enables the flow network's approximate-equilibrium mode
-	// with the given relative tolerance (0 = exact, the default). Replay
-	// digests are only stable on the exact path.
-	NetApproxTol float64
 	// InferenceOnly simulates forward-only execution (no backward pass, no
 	// gradient synchronization, no optimizer).
 	InferenceOnly bool
@@ -359,7 +355,6 @@ func execute(cfg Config, topo *network.Topology, res *extrapolator.Result,
 	eng.RegisterHook(digest)
 	net := network.NewFlowNetwork(eng, topo)
 	net.RampBytes = rampBytes
-	net.ApproxTol = cfg.NetApproxTol
 	tl := timeline.New()
 	x := task.NewExecutor(eng, net, res.Graph, tl)
 

@@ -11,10 +11,11 @@ import (
 
 // Pinned serving digests: the replay gate for the serving subsystem. These
 // change only when the serving event schedule itself changes — cost model,
-// admission order, routing, or arrival generation. Update deliberately.
+// admission order, routing, arrival generation, or the flow network's
+// delivery-event rescheduling. Update deliberately.
 const (
-	goldenServeDigest       = uint64(0x227e26643d1677b7)
-	goldenServeFaultsDigest = uint64(0x748b244dec294b2a)
+	goldenServeDigest       = uint64(0x769ad5f18c026c4a)
+	goldenServeFaultsDigest = uint64(0x4852470d8f99b601)
 )
 
 func serveConfig() ServeConfig {

@@ -55,8 +55,8 @@ func scaleTopology(machines int) *network.Topology {
 // Scale — the 10k-GPU scaling study (not in the paper, which stops at 8
 // GPUs): simulator wall clock and simulated step time for one llama32-1b
 // training iteration on rail fat-tree clusters from 64 to 10,000 GPUs under
-// DP×TP×PP, fused compute, hierarchical collectives, and the approximate
-// flow solver (tolerance 1%). Like Fig14 it measures the simulator itself,
+// DP×TP×PP, fused compute, hierarchical collectives, and the exact flow
+// solver. Like Fig14 it measures the simulator itself,
 // so it stays serial and is excluded from the byte-identity goldens.
 func Scale(quick bool) (*Figure, error) {
 	f := &Figure{
@@ -80,7 +80,6 @@ func Scale(quick bool) (*Figure, error) {
 			GlobalBatch:  pt.dp * 4 * traceBatch,
 			MicroBatches: 4,
 			FuseCompute:  true,
-			NetApproxTol: 0.01,
 			// The scaling study — like Fig14, outside the no-wallclock
 			// boundary — injects the host clock to measure the simulator.
 			Clock: time.Now,

@@ -1,9 +1,9 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"triosim/internal/sim"
@@ -49,8 +49,10 @@ func (m MultiFlowObserver) RatesRecomputed(flows int, now sim.VTime) {
 	}
 }
 
-// flow is one in-flight message in the flow network. Completed flows are
-// recycled through FlowNetwork.freeFlows (releaseFlow/acquireFlow); after
+// flow is one in-flight message in the flow network. It drains at schedRate
+// from lastAdv with one live delivery event; remaining is brought up to date
+// only when a solve changes its rate, never on every solve. Completed flows
+// are recycled through FlowNetwork.freeFlows (releaseFlow/acquireFlow); after
 // releaseFlow, only the monotonic gen field distinguishes a stale delivery
 // event's reference from the object's next life.
 //
@@ -60,7 +62,7 @@ type flow struct {
 	route     []DirLink
 	remaining float64
 	bytes     float64 // original transfer size
-	rate      float64 // bytes/s currently achieved
+	rate      float64 // bytes/s achieved; overwritten by each closure solve
 	eff       float64 // achieved fraction of the allocated share
 	latency   sim.VTime
 	start     sim.VTime
@@ -77,11 +79,12 @@ type flow struct {
 	// closure (dedup stamp; monotonic like mark, survives recycling).
 	seen int
 	// schedRate is the achieved rate the live delivery event was scheduled
-	// with (0 = starved / no event). Only the approximate mode reads it.
+	// with (0 = starved / no event). It carries the drain rate across a
+	// solve, which overwrites rate.
 	schedRate float64
-	// lastAdv is the virtual time remaining was last materialized at. The
-	// exact solver advances every flow eagerly (bit-identical float sums);
-	// the approximate mode integrates lazily per flow from lastAdv.
+	// lastAdv is the virtual time remaining was last materialized at:
+	// remaining is integrated lazily, at schedRate from lastAdv, only when
+	// the flow's rate changes.
 	lastAdv sim.VTime
 }
 
@@ -120,7 +123,10 @@ type linkState struct {
 
 // FlowNetwork is the flow-based packet-switching model: shortest-path
 // routing, max-min fair bandwidth sharing per directed link, and
-// reschedule-on-change delivery events.
+// reschedule-on-change delivery events. After each solve only the flows of
+// the re-solved closure whose achieved rate changed are integrated and
+// rescheduled; every other flow keeps its delivery event, which is still
+// exact because its rate is bit-identical.
 type FlowNetwork struct {
 	eng  sim.Engine
 	topo *Topology
@@ -137,32 +143,19 @@ type FlowNetwork struct {
 
 	flows map[int]*flow
 	// ordered holds the in-flight flows in ascending id order. Anything that
-	// schedules events or produces output per flow must iterate this slice,
-	// not the flows map: same-timestamp events tie-break on scheduling
-	// sequence, so map iteration order would leak into the simulated
-	// schedule (triosimvet: map-range-order). ids are assigned
-	// monotonically, so appends keep it sorted without re-sorting.
-	ordered    []*flow
-	nextID     int
-	lastUpdate sim.VTime
+	// schedules events or produces output per flow must go in ascending id
+	// order — this slice, or a subset sorted by id — never in the flows
+	// map's order: same-timestamp events tie-break on scheduling sequence,
+	// so map iteration order would leak into the simulated schedule
+	// (triosimvet: map-range-order). ids are assigned monotonically, so
+	// appends keep it sorted without re-sorting.
+	ordered []*flow
+	nextID  int
 	// recomputePending coalesces same-timestamp flow arrivals/departures
 	// into one max-min reallocation (a secondary event), so an 84-rank ring
 	// step triggers one recompute instead of 84. Virtual-time semantics are
 	// unchanged: no time passes between the individual changes.
 	recomputePending bool
-
-	// ApproxTol, when positive, enables the approximate-equilibrium mode
-	// for large networks: a flow whose newly solved rate differs from the
-	// rate its live delivery event was scheduled with by at most ApproxTol
-	// (relative) keeps that event and keeps draining at the old rate,
-	// cutting the O(flows) reschedule churn that dominates at cluster
-	// scale. Rates are still solved exactly; only event rescheduling and
-	// the per-flow byte integration (lazy, per-flow) are approximated, so
-	// makespan error is bounded by the tolerance (property-tested at ≤1%).
-	// Zero — the default — is the exact mode: every solve reschedules every
-	// flow and replay digests are byte-identical to the historical solver.
-	// Set before the first Send and never change it mid-run.
-	ApproxTol float64
 
 	// Incremental allocator state: the per-link crossing-flow sets persist
 	// across solves. links indexes them densely by 2·linkID+direction (the
@@ -203,6 +196,9 @@ type FlowNetwork struct {
 	scratchFlows []*flow
 	solveLinks   []*linkState
 	heap         []solveEntry
+	// moved collects the closure flows reallocate reschedules, reused
+	// across solves.
+	moved []*flow
 
 	// freeFlows recycles completed flow objects (see flow.gen for why the
 	// generation survives recycling).
@@ -298,7 +294,6 @@ func (n *FlowNetwork) Send(src, dst NodeID, bytes float64,
 	f.onDone = onDone
 	f.schedRate = 0
 	f.lastAdv = now
-	n.advance(now)
 	n.flows[f.id] = f
 	n.ordered = append(n.ordered, f)
 	n.attachLinks(f)
@@ -509,7 +504,6 @@ func (n *FlowNetwork) scheduleReallocate(now sim.VTime) {
 	n.recomputePending = true
 	sim.ScheduleSecondaryFunc(n.eng, now, func(t sim.VTime) error {
 		n.recomputePending = false
-		n.advance(t)
 		n.reallocate(t)
 		if n.Observer != nil {
 			n.Observer.RatesRecomputed(len(n.flows), t)
@@ -527,31 +521,14 @@ func (n *FlowNetwork) RefreshRates() {
 	n.scheduleReallocate(n.eng.CurrentTime())
 }
 
-// advance applies the elapsed time since the last reallocation to every
-// in-flight flow's remaining byte count. The approximate mode skips the
-// global sweep and instead integrates each flow lazily from flow.lastAdv
-// when its rate actually changes (the sums differ in rounding, which is why
-// the exact path keeps the eager sweep bit-identical to the historical one).
-func (n *FlowNetwork) advance(now sim.VTime) {
-	if n.ApproxTol > 0 {
-		n.lastUpdate = now
-		return
-	}
-	dt := float64(now - n.lastUpdate)
-	if dt > 0 {
-		for _, f := range n.ordered {
-			f.remaining -= f.rate * dt
-			if f.remaining < 0 {
-				f.remaining = 0
-			}
-		}
-	}
-	n.lastUpdate = now
-}
-
-// reallocate recomputes max-min fair rates and reschedules delivery events:
-// every flow's on the exact path (byte-identical replay), only the flows
-// whose rate moved beyond ApproxTol on the approximate path.
+// reallocate re-solves the max-min rates of the dirty closure and
+// reschedules the delivery events of exactly those closure flows whose
+// achieved rate changed. A flow whose new rate is bit-equal to the rate its
+// live event was scheduled with keeps that event: draining on at the same
+// rate reaches the same completion time. Any other closure flow first
+// materializes its remaining bytes at the old rate since lastAdv, then is
+// rescheduled at the new one (or parked, if starved). Flows outside the
+// closure are never touched.
 func (n *FlowNetwork) reallocate(now sim.VTime) {
 	n.Solves++
 	if n.SolveClock != nil {
@@ -561,51 +538,15 @@ func (n *FlowNetwork) reallocate(now sim.VTime) {
 	} else {
 		n.computeRates()
 	}
-	// Size-dependent achieved fraction: the unachieved share of a flow's
-	// allocation is protocol dead time, not reusable by other flows. Only
-	// the re-solved closure got fresh raw rates; everything else already
-	// carries its achieved rate from an earlier solve.
+	n.moved = n.moved[:0]
 	for _, f := range n.scratchFlows {
+		// Size-dependent achieved fraction: the unachieved share of a
+		// flow's allocation is protocol dead time, not reusable by others.
 		f.rate *= f.eff
-	}
-	if n.ApproxTol > 0 {
-		n.rescheduleApprox(now)
-		return
-	}
-	for _, f := range n.ordered {
-		f.gen++
-		if f.rate <= 0 {
-			continue // starved flow: rescheduled when capacity frees up
-		}
-		doneAt := now + sim.VTime(f.remaining/f.rate)
-		fl, gen := f, f.gen
-		sim.ScheduleFunc(n.eng, doneAt, func(t sim.VTime) error {
-			n.completeFlow(fl, gen, t)
-			return nil
-		})
-	}
-}
-
-// rescheduleApprox is the approximate mode's selective rescheduling: only
-// the re-solved closure is examined, and a flow keeps its live delivery
-// event (and its current drain rate) when the new rate is within ApproxTol
-// of the rate that event was scheduled with. Starvation transitions always
-// reschedule. Flows outside the closure are untouched by construction.
-func (n *FlowNetwork) rescheduleApprox(now sim.VTime) {
-	// Deterministic reschedule order regardless of closure-collection
-	// order: ascending flow id, like the exact path's ordered slice.
-	sort.Slice(n.scratchFlows, func(i, j int) bool {
-		return n.scratchFlows[i].id < n.scratchFlows[j].id
-	})
-	tol := n.ApproxTol
-	for _, f := range n.scratchFlows {
 		old, next := f.schedRate, f.rate
-		if old > 0 && next > 0 && math.Abs(next-old) <= tol*old {
-			f.rate = old // keep the event; keep draining at its rate
+		if next == old {
 			continue
 		}
-		// Materialize the lazily integrated remaining bytes at the old
-		// rate, then reschedule at the new one.
 		if dt := float64(now - f.lastAdv); dt > 0 && old > 0 {
 			f.remaining -= old * dt
 			if f.remaining < 0 {
@@ -615,10 +556,17 @@ func (n *FlowNetwork) rescheduleApprox(now sim.VTime) {
 		f.lastAdv = now
 		f.gen++
 		f.schedRate = next
-		if next <= 0 {
-			continue
+		if next > 0 { // a starved flow is rescheduled when capacity frees up
+			n.moved = append(n.moved, f)
 		}
-		doneAt := now + sim.VTime(f.remaining/next)
+	}
+	// Deterministic event order regardless of closure-collection order:
+	// ascending flow id. Only the rescheduled flows need sorting.
+	slices.SortFunc(n.moved, func(a, b *flow) int {
+		return cmp.Compare(a.id, b.id)
+	})
+	for _, f := range n.moved {
+		doneAt := now + sim.VTime(f.remaining/f.schedRate)
 		fl, gen := f, f.gen
 		sim.ScheduleFunc(n.eng, doneAt, func(t sim.VTime) error {
 			n.completeFlow(fl, gen, t)
@@ -634,7 +582,6 @@ func (n *FlowNetwork) completeFlow(f *flow, gen int, now sim.VTime) {
 	if !ok || cur != f || f.gen != gen {
 		return // stale event
 	}
-	n.advance(now)
 	delete(n.flows, f.id)
 	n.detachLinks(f)
 	if n.Observer != nil {

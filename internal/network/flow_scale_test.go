@@ -1,7 +1,6 @@
 package network
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -110,73 +109,6 @@ func TestDirtySetPartitionIsolation(t *testing.T) {
 	if got := after - before; got != 2 {
 		t.Fatalf("arrival re-solved %d flows, want 2 (machine-0 partition)",
 			got)
-	}
-}
-
-func TestApproxModeOffByDefault(t *testing.T) {
-	eng := sim.NewSerialEngine()
-	topo, _ := lineTopo()
-	if net := NewFlowNetwork(eng, topo); net.ApproxTol != 0 {
-		t.Fatalf("ApproxTol defaults to %g, want 0 (exact)", net.ApproxTol)
-	}
-}
-
-// runTieredWorkload replays a deterministic random workload on a rail
-// fat-tree and returns (makespan, deliveries).
-func runTieredWorkload(t *testing.T, seed int64,
-	tol float64) (sim.VTime, int) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	eng := sim.NewSerialEngine()
-	topo := RailFatTree(clusterCfg(8, 2), 4, 2)
-	gpus := topo.GPUs()
-	net := NewFlowNetwork(eng, topo)
-	net.ApproxTol = tol
-
-	var makespan sim.VTime
-	delivered := 0
-	n := 60
-	for i := 0; i < n; i++ {
-		at := sim.VTime(rng.Float64()) * sim.Sec
-		bytes := float64(1+rng.Intn(80)) * 1e9
-		src := gpus[rng.Intn(len(gpus))]
-		dst := gpus[rng.Intn(len(gpus))]
-		if dst == src {
-			delivered++ // keep counts comparable across modes
-			continue
-		}
-		eng.Schedule(sim.NewFuncEvent(at, func(sim.VTime) error {
-			net.Send(src, dst, bytes, func(now sim.VTime) {
-				delivered++
-				if now > makespan {
-					makespan = now
-				}
-			})
-			return nil
-		}))
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return makespan, delivered
-}
-
-// Approximate-equilibrium mode (the large-network fast path) must deliver
-// every flow and keep the makespan within the advertised tolerance of the
-// exact solve: ApproxTol=0.01 → ≤1% relative deviation.
-func TestApproxBoundedMakespanError(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		exact, nExact := runTieredWorkload(t, seed, 0)
-		appr, nAppr := runTieredWorkload(t, seed, 0.01)
-		if nExact != nAppr {
-			t.Fatalf("seed %d: exact delivered %d, approx %d",
-				seed, nExact, nAppr)
-		}
-		rel := math.Abs(float64(appr-exact)) / float64(exact)
-		if rel > 0.01 {
-			t.Fatalf("seed %d: approx makespan %v vs exact %v (%.3f%% > 1%%)",
-				seed, appr, exact, rel*100)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package network
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"triosim/internal/sim"
@@ -350,79 +349,6 @@ func TestIdealNetwork(t *testing.T) {
 		// local send completes at current time (when Run resumed).
 		t.Logf("local done at %v", local)
 	}
-}
-
-// referenceRates is a from-scratch max-min solve (the pre-incremental
-// algorithm): rebuild every per-link flow list from the current flow set,
-// then run progressive filling. The incremental allocator must match it
-// bit-for-bit — same capacity resets, same freeze order, same charge order —
-// so the comparison below uses ==, not a tolerance.
-func referenceRates(net *FlowNetwork) map[int]float64 {
-	type ls struct {
-		cap    float64
-		active int
-		flows  []*flow
-	}
-	links := map[DirLink]*ls{}
-	for _, f := range net.ordered { // ascending flow id
-		for _, dl := range f.route {
-			st := links[dl]
-			if st == nil {
-				st = &ls{}
-				links[dl] = st
-			}
-			st.flows = append(st.flows, f)
-		}
-	}
-	var keys []DirLink
-	for k := range links {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Link != keys[j].Link {
-			return keys[i].Link < keys[j].Link
-		}
-		return keys[i].Forward && !keys[j].Forward
-	})
-	for _, k := range keys {
-		st := links[k]
-		st.cap = net.topo.Links[k.Link].Bandwidth
-		st.active = len(st.flows)
-	}
-	rates := map[int]float64{}
-	for len(rates) < len(net.ordered) {
-		var bn *ls
-		best := math.Inf(1)
-		for _, k := range keys {
-			st := links[k]
-			if st.active == 0 {
-				continue
-			}
-			fair := st.cap / float64(st.active)
-			if fair < best {
-				best = fair
-				bn = st
-			}
-		}
-		if bn == nil {
-			break
-		}
-		for _, f := range bn.flows {
-			if _, done := rates[f.id]; done {
-				continue
-			}
-			rates[f.id] = best
-			for _, dl := range f.route {
-				st := links[dl]
-				st.cap -= best
-				if st.cap < 0 {
-					st.cap = 0
-				}
-				st.active--
-			}
-		}
-	}
-	return rates
 }
 
 // After an arbitrary add/complete history — which exercises attach/detach,

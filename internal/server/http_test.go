@@ -194,6 +194,28 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 }
 
+// A spec carrying a field the run spec no longer has — the removed flow
+// solver tolerance — is rejected at submission with the field named, not
+// silently run without it.
+func TestHTTPRejectsRemovedField(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	ts, c := testClient(t, s)
+	body := `{"run":{"model":"resnet18","platform":"P1",` +
+		`"parallelism":"ddp","trace_batch":32,"net_approx_tol":0.01}}`
+	resp, data := postJSON(t, c, ts.URL+"/v1/jobs", body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("submit: %d %s, want 400", resp.StatusCode, data)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(data, &eb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(eb.Error, `"net_approx_tol"`) {
+		t.Fatalf("error %q does not name the field", eb.Error)
+	}
+}
+
 func TestHTTPRetryAfterOnOverload(t *testing.T) {
 	s := newIdle(Options{MaxQueue: 1})
 	defer s.Close()
