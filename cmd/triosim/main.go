@@ -7,7 +7,7 @@
 //	triosim -model resnet50 -platform P2 -parallelism ddp
 //	triosim -model gpt2 -platform P1 -parallelism tp -validate
 //	triosim -trace mytrace.json -platform P3 -parallelism pp -chunks 4
-//	triosim -model vgg16 -platform P2 -parallelism ddp -timeline out.json
+//	triosim -model vgg16 -platform P2 -parallelism ddp -trace-out out.json
 package main
 
 import (
@@ -47,7 +47,7 @@ func main() {
 		iterations   = flag.Int("iterations", 1, "training iterations to simulate")
 		validate     = flag.Bool("validate", false, "also run the hardware emulator and report error")
 		memCheck     = flag.Bool("memory", false, "estimate per-GPU peak memory and capacity fit")
-		timelineOut  = flag.String("timeline", "", "write a Chrome-trace timeline JSON here")
+		timelineOut  = flag.String("timeline", "", "alias of -trace-out")
 		timelineHTML = flag.String("timeline-html", "", "write a self-contained HTML timeline viewer here")
 		traceOut     = flag.String("trace-out", "", "write the span-level Chrome trace-event JSON here (open in Perfetto or chrome://tracing)")
 		metricsOut   = flag.String("metrics-out", "", "write the telemetry RunReport JSON here")
@@ -66,6 +66,13 @@ func main() {
 		serveWorkload = flag.String("serve-workload", "", "request trace JSON instead of the Poisson generator")
 	)
 	flag.Parse()
+	if *timelineOut != "" {
+		if *traceOut != "" && *traceOut != *timelineOut {
+			log.Fatalf("-timeline %q and -trace-out %q name different files; "+
+				"-timeline is an alias of -trace-out", *timelineOut, *traceOut)
+		}
+		*traceOut = *timelineOut
+	}
 
 	if *serveSim {
 		runServing(serveFlags{
@@ -98,9 +105,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		runAndReport(cfg, *validate, *memCheck, *determ, *timelineOut,
-			*timelineHTML, *traceOut, *metricsOut, *monitorAddr, *faultsPath,
-			*faultSeed)
+		runAndReport(cfg, *validate, *memCheck, *determ, *timelineHTML,
+			*traceOut, *metricsOut, *monitorAddr, *faultsPath, *faultSeed)
 		return
 	}
 
@@ -137,15 +143,14 @@ func main() {
 		log.Fatal("need -model or -trace (see -list-models)")
 	}
 
-	runAndReport(cfg, *validate, *memCheck, *determ, *timelineOut,
-		*timelineHTML, *traceOut, *metricsOut, *monitorAddr, *faultsPath,
-		*faultSeed)
+	runAndReport(cfg, *validate, *memCheck, *determ, *timelineHTML,
+		*traceOut, *metricsOut, *monitorAddr, *faultsPath, *faultSeed)
 }
 
 // runAndReport executes one simulation and prints the result block.
 func runAndReport(cfg triosim.Config, validate, memCheck, deterministic bool,
-	timelineOut, timelineHTML, traceOut, metricsOut, monitorAddr,
-	faultsPath string, faultSeed int64) {
+	timelineHTML, traceOut, metricsOut, monitorAddr, faultsPath string,
+	faultSeed int64) {
 	plat := cfg.Platform
 	// The sim core never reads the host clock (triosimvet: no-wallclock);
 	// the WallClock metric is opt-in from the boundary. -deterministic keeps
@@ -303,19 +308,6 @@ func runAndReport(cfg triosim.Config, validate, memCheck, deterministic bool,
 		}
 		fmt.Printf("capacity check:  %s (worst GPU at %.0f%% of %.0f GB)\n",
 			verdict, rep.WorstUtilization*100, gb(plat.GPU.MemCapacity))
-	}
-
-	if timelineOut != "" {
-		f, err := os.Create(timelineOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := res.Timeline.ExportChromeTrace(f); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("timeline:        %s (chrome://tracing format)\n",
-			timelineOut)
 	}
 
 	if traceOut != "" {

@@ -169,6 +169,10 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.Parallelism == "" {
 		out.Parallelism = Single
 	}
+	if out.Iterations < 0 {
+		return out, fmt.Errorf("core: Iterations must be >= 0, got %d",
+			out.Iterations)
+	}
 	if out.Iterations == 0 {
 		out.Iterations = 1
 	}
@@ -263,13 +267,21 @@ func collectTrace(cfg Config) (*trace.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Cache == nil {
-		return hwsim.CollectTrace(cfg.Model, cfg.TraceBatch, spec)
+	return zooTrace(cfg.Cache, cfg.Model, cfg.TraceBatch, spec)
+}
+
+// zooTrace collects a model-zoo trace on the hardware emulator, through the
+// trace cache when one is configured.
+func zooTrace(cache *tracecache.Store, model string, batch int,
+	spec *gpu.Spec) (*trace.Trace, error) {
+
+	collect := func() (*trace.Trace, error) {
+		return hwsim.CollectTrace(model, batch, spec)
 	}
-	return cfg.Cache.GetTrace(traceKey(cfg.Model, cfg.TraceBatch, spec),
-		func() (*trace.Trace, error) {
-			return hwsim.CollectTrace(cfg.Model, cfg.TraceBatch, spec)
-		})
+	if cache == nil {
+		return collect()
+	}
+	return cache.GetTrace(traceKey(model, batch, spec), collect)
 }
 
 // traceKey content-addresses a zoo trace: everything that influences the
@@ -339,113 +351,56 @@ func extrapolate(cfg Config, tr *trace.Trace, topo *network.Topology,
 	return nil, fmt.Errorf("core: unknown parallelism %q", cfg.Parallelism)
 }
 
-// execute runs a task graph over the platform network and packages results.
-// ckptCost is the resolved per-checkpoint pause for the resilience overlay
-// (zero when Config.Faults carries no checkpoint policy).
-func execute(cfg Config, topo *network.Topology, res *extrapolator.Result,
-	rampBytes float64, collLog *telemetry.CollectiveLog,
-	ckptCost sim.VTime) (*Result, error) {
-
-	var start time.Time
-	if cfg.Clock != nil {
-		start = cfg.Clock()
+// runOpts extracts the settings the run harness owns.
+func (c *Config) runOpts() runOpts {
+	return runOpts{
+		clock:     c.Clock,
+		telemetry: c.Telemetry,
+		metrics:   c.Metrics,
+		spanTrace: c.SpanTrace,
+		hooks:     c.Hooks,
+		ctx:       c.Context,
+		faults:    c.Faults,
 	}
-	eng := sim.NewSerialEngine()
-	digest := sim.NewDigestHook()
-	eng.RegisterHook(digest)
-	net := network.NewFlowNetwork(eng, topo)
-	net.RampBytes = rampBytes
-	tl := timeline.New()
-	x := task.NewExecutor(eng, net, res.Graph, tl)
+}
 
-	// Self-profiling: time the max-min solver on the injected clock (the sim
-	// core never reads the host clock itself). Wall time feeds counter
-	// tracks and gauges only — virtual time is unaffected.
-	net.SolveClock = cfg.Clock
+// execute is the common tail of Simulate and GroundTruth: extrapolate the
+// trace to the configured parallelism with the given operator timer and
+// platform effects, run the task graph over the platform network, and
+// package the results.
+func execute(cfg Config, tr *trace.Trace, timer extrapolator.OpTimer,
+	effects hwsim.Effects) (*Result, error) {
 
-	var rec *spantrace.Recorder
-	if cfg.SpanTrace {
-		rec = spantrace.NewRecorder(res.Graph, topo)
-		x.Observe(rec)
-		eng.RegisterHook(rec.EngineHook(eng.Pending))
+	topo := cfg.Topology
+	if topo == nil {
+		topo = BuildTopology(cfg.Platform)
 	}
-
-	var inj *faults.Injector
-	if cfg.Faults != nil {
-		var err error
-		inj, err = faults.NewInjector(eng, net, cfg.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		// Straggler model: compute durations stretch by the enclosing
-		// GPUSlowdown window's factor. Link windows become engine events
-		// that rewrite bandwidth and re-solve the fair shares; an empty
-		// schedule arms nothing and the run stays digest-identical.
-		x.Stretch = inj.Factor
-		inj.Arm()
-		for _, w := range inj.Windows() {
-			tl.Add(faults.TimelineResource, w.Label(), "fault", w.Start, w.End)
-			if rec != nil {
-				rec.AddFault(w.Label(), w.Start, w.End)
-			}
-		}
-		for _, f := range inj.Failures() {
-			tl.Add(faults.TimelineResource, faults.FailLabel(f), "fault",
-				f.At, f.At)
-			if rec != nil {
-				rec.AddFault(faults.FailLabel(f), f.At, f.At)
-			}
-		}
-	}
-
-	var coll *telemetry.Collector
+	var collLog *telemetry.CollectiveLog
 	if cfg.telemetryOn() {
-		reg := cfg.Metrics
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		coll = telemetry.NewCollector(reg, topo, collLog)
-		eng.RegisterHook(coll.EngineHook(eng.Pending))
-		x.Observe(coll)
+		collLog = telemetry.NewCollectiveLog()
 	}
-	switch {
-	case coll != nil && rec != nil:
-		net.Observer = network.MultiFlowObserver{coll, rec}
-	case coll != nil:
-		net.Observer = coll
-	case rec != nil:
-		net.Observer = rec
-	}
-	for _, h := range cfg.Hooks {
-		eng.RegisterHook(h)
-	}
-	if ctx := cfg.Context; ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: simulation canceled: %w", err)
-		}
-		// Poll the context every 1024 dispatches: ctx.Err() is a mutex
-		// acquisition, too expensive per event, and cancellation latency of
-		// ~1k events is fine for sweep timeouts.
-		var dispatched uint64
-		eng.RegisterHook(sim.HookFunc(func(hc sim.HookCtx) {
-			if hc.Pos != sim.HookPosAfterEvent {
-				return
-			}
-			dispatched++
-			if dispatched&1023 == 0 && ctx.Err() != nil {
-				eng.Terminate()
-			}
-		}))
+	res, err := extrapolate(cfg, tr, topo, timer, effects, collLog)
+	if err != nil {
+		return nil, err
 	}
 
-	makespan, err := x.Run()
-	if err != nil {
-		if cfg.Context != nil && cfg.Context.Err() != nil {
-			// Terminate left the executor mid-graph; the context error is
-			// the cause, not the "stalled" symptom.
-			return nil, fmt.Errorf("core: simulation canceled: %w",
-				cfg.Context.Err())
-		}
+	h := newHarness(cfg.runOpts(), topo, effects.CommRampBytes)
+	tl := timeline.New()
+	x := task.NewExecutor(h.eng, h.net, res.Graph, tl)
+	if err := h.attach(workload{
+		graph:       res.Graph,
+		collectives: collLog,
+		timeline:    tl,
+		observe:     x.Observe,
+		stretch:     &x.Stretch,
+	}); err != nil {
+		return nil, err
+	}
+	var makespan sim.VTime
+	if err := h.run(func() (err error) {
+		makespan, err = x.Run()
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	out := &Result{
@@ -456,111 +411,37 @@ func execute(cfg Config, topo *network.Topology, res *extrapolator.Result,
 		HostLoadTime: tl.UnionTime(timeline.ByPhase("hostload")),
 		Timeline:     tl,
 		Tasks:        res.Graph.Len(),
-		Events:       eng.EventCount(),
-		EventDigest:  digest.Sum64(),
 	}
-	if cfg.Clock != nil {
-		out.WallClock = cfg.Clock().Sub(start)
+	numGPUs := cfg.NumGPUs
+	if cfg.Parallelism == Single {
+		numGPUs = 1
 	}
-	if rec != nil {
-		// End-of-run self-profiling totals on the counter tracks. The solver
-		// wall-time sample exists only when a clock was injected, so traces
-		// from clockless runs stay fully deterministic.
-		rec.Sample(spantrace.CounterQueueHighWatr, eng.CurrentTime(),
-			float64(eng.QueueHighWater()))
-		if cfg.Clock != nil {
-			rec.Sample(spantrace.CounterSolveWallMs, eng.CurrentTime(),
-				net.SolveWall.Seconds()*1e3)
-		}
-		out.Spans = rec.Finalize()
+	o, err := h.finish(makespan, checkpointCost(cfg, tr), telemetry.RunInfo{
+		Model:           cfg.Model,
+		Platform:        cfg.Platform.Name,
+		Parallelism:     string(cfg.Parallelism),
+		NumGPUs:         numGPUs,
+		Iterations:      cfg.Iterations,
+		TotalSec:        makespan.Seconds(),
+		PerIterationSec: out.PerIteration.Seconds(),
+		Parallel:        res.Meta,
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.Events, out.EventDigest, out.WallClock = o.events, o.eventDigest, o.wallClock
+	out.Report, out.Spans, out.Resilience = o.report, o.spans, o.resilience
+	if out.Spans != nil {
 		out.CriticalPath = out.Spans.CriticalPath(0)
 	}
-	if cfg.Faults != nil {
-		rc := faults.ResilienceConfig{Work: makespan}
-		if cp := cfg.Faults.Checkpoint; cp != nil {
-			rc.Interval = cp.Interval
-			rc.CheckpointCost = ckptCost
-			rc.RestartCost = cp.Restart
-		}
-		for _, f := range inj.Failures() {
-			rc.Failures = append(rc.Failures, f.At)
-		}
-		rres, err := faults.Evaluate(rc)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		out.Resilience = rres
-		out.Goodput = rres.Goodput
+	if out.Resilience != nil {
+		out.Goodput = out.Resilience.Goodput
 	}
-	if coll != nil {
-		numGPUs := cfg.NumGPUs
-		if cfg.Parallelism == Single {
-			numGPUs = 1
-		}
-		out.Report = coll.Finalize(telemetry.RunInfo{
-			Model:           cfg.Model,
-			Platform:        cfg.Platform.Name,
-			Parallelism:     string(cfg.Parallelism),
-			NumGPUs:         numGPUs,
-			Iterations:      cfg.Iterations,
-			TotalSec:        makespan.Seconds(),
-			PerIterationSec: out.PerIteration.Seconds(),
-			Events:          out.Events,
-			QueueHighWater:  eng.QueueHighWater(),
-			NetTotalBytes:   net.TotalBytes,
-			NetTransfers:    net.TotalTransfers,
-			NetSolveSeconds: net.SolveWall.Seconds(),
-			Parallel:        res.Meta,
-		})
+	if out.Report != nil {
 		out.Report.CriticalPath = out.CriticalPath
-		out.Report.Engine.EventDigest = fmt.Sprintf("%#x", out.EventDigest)
-		if cfg.Clock != nil && out.WallClock > 0 {
-			out.Report.Engine.WallSeconds = out.WallClock.Seconds()
-			out.Report.Engine.EventsPerSecond =
-				float64(out.Events) / out.Report.Engine.WallSeconds
-		}
-		if cfg.Faults != nil {
-			out.Report.Faults = faultReport(inj, out.Resilience, makespan)
-		}
 	}
+	attachCacheStats(cfg, out)
 	return out, nil
-}
-
-// faultReport converts the injector's windows and the resilience overlay's
-// accounting into the telemetry RunReport section.
-func faultReport(inj *faults.Injector, rr *faults.ResilienceResult,
-	makespan sim.VTime) *telemetry.FaultReport {
-
-	ws := inj.Windows()
-	fr := &telemetry.FaultReport{
-		DegradedSec:   faults.DegradedSeconds(ws, makespan),
-		Failures:      rr.Failures,
-		Checkpoints:   rr.Checkpoints,
-		CheckpointSec: rr.CheckpointTime.Seconds(),
-		ReplaySec:     rr.ReplayTime.Seconds(),
-		RestartSec:    rr.RestartTime.Seconds(),
-		UsefulSec:     rr.UsefulTime.Seconds(),
-		ExtendedSec:   rr.TotalTime.Seconds(),
-		Goodput:       rr.Goodput,
-	}
-	for _, w := range ws {
-		fr.Windows = append(fr.Windows, telemetry.FaultWindow{
-			Kind:     string(w.Kind),
-			Resource: w.ResourceName(),
-			Factor:   w.Factor,
-			StartSec: w.Start.Seconds(),
-			EndSec:   w.End.Seconds(),
-		})
-	}
-	for _, f := range inj.Failures() {
-		fr.Windows = append(fr.Windows, telemetry.FaultWindow{
-			Kind:     string(faults.GPUFail),
-			Resource: fmt.Sprintf("gpu%d", f.GPU),
-			StartSec: f.At.Seconds(),
-			EndSec:   f.At.Seconds(),
-		})
-	}
-	return fr
 }
 
 // Simulate is TrioSim's prediction path: fit Li's Model on the single-GPU
@@ -581,24 +462,7 @@ func Simulate(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	topo := cfg.Topology
-	if topo == nil {
-		topo = BuildTopology(cfg.Platform)
-	}
-	var collLog *telemetry.CollectiveLog
-	if cfg.telemetryOn() {
-		collLog = telemetry.NewCollectiveLog()
-	}
-	eres, err := extrapolate(cfg, tr, topo, timer, hwsim.NoEffects, collLog)
-	if err != nil {
-		return nil, err
-	}
-	res, err := execute(cfg, topo, eres, 0, collLog, checkpointCost(cfg, tr))
-	if err != nil {
-		return nil, err
-	}
-	attachCacheStats(cfg, res)
-	return res, nil
+	return execute(cfg, tr, timer, hwsim.NoEffects)
 }
 
 // fitTimer fits the configured operator performance model on the trace,
@@ -745,42 +609,13 @@ func GroundTruth(cfg Config) (*Result, error) {
 	if batch == 0 {
 		batch = cfg.TraceBatch
 	}
-	collect := func() (*trace.Trace, error) {
-		return hwsim.CollectTrace(cfg.Model, batch, &cfg.Platform.GPU)
-	}
-	var tr *trace.Trace
-	if cfg.Cache != nil {
-		tr, err = cfg.Cache.GetTrace(traceKey(cfg.Model, batch,
-			&cfg.Platform.GPU), collect)
-	} else {
-		tr, err = collect()
-	}
+	tr, err := zooTrace(cfg.Cache, cfg.Model, batch, &cfg.Platform.GPU)
 	if err != nil {
 		return nil, err
 	}
-	gcfg := cfg
-	gcfg.GlobalBatch = batch
-	topo := cfg.Topology
-	if topo == nil {
-		topo = BuildTopology(cfg.Platform)
-	}
-	timer := hwsim.NewTimer(&cfg.Platform.GPU)
-	effects := hwsim.PlatformEffects(cfg.Platform)
-	var collLog *telemetry.CollectiveLog
-	if gcfg.telemetryOn() {
-		collLog = telemetry.NewCollectiveLog()
-	}
-	eres, err := extrapolate(gcfg, tr, topo, timer, effects, collLog)
-	if err != nil {
-		return nil, err
-	}
-	res, err := execute(gcfg, topo, eres, effects.CommRampBytes, collLog,
-		checkpointCost(gcfg, tr))
-	if err != nil {
-		return nil, err
-	}
-	attachCacheStats(gcfg, res)
-	return res, nil
+	cfg.GlobalBatch = batch
+	return execute(cfg, tr, hwsim.NewTimer(&cfg.Platform.GPU),
+		hwsim.PlatformEffects(cfg.Platform))
 }
 
 func hybridGroups(cfg Config) int {

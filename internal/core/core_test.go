@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"triosim/internal/gpu"
@@ -215,6 +216,12 @@ func TestConfigErrors(t *testing.T) {
 	}
 	if _, err := GroundTruth(Config{Platform: p1()}); err == nil {
 		t.Fatal("ground truth without model accepted")
+	}
+	if _, err := Simulate(Config{Model: "resnet18", Platform: p1(),
+		Iterations: -3}); err == nil ||
+		!strings.Contains(err.Error(), "Iterations") {
+		t.Fatalf("negative iterations: %v, want an error naming Iterations",
+			err)
 	}
 }
 

@@ -73,155 +73,86 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("core: no platform")
 	}
+	if f := cfg.Faults; f != nil {
+		if f.Checkpoint != nil {
+			return nil, fmt.Errorf(
+				"core: serving has no checkpoint/restart model")
+		}
+		if n := len(f.Failures()); n > 0 {
+			return nil, fmt.Errorf(
+				"core: serving does not support gpufail events (%d in schedule): "+
+					"a failed replica would need request re-routing", n)
+		}
+	}
 	topo := cfg.Topology
 	if topo == nil {
 		topo = BuildTopology(cfg.Platform)
 	}
 
-	var start time.Time
-	if cfg.Clock != nil {
-		start = cfg.Clock()
-	}
-	eng := sim.NewSerialEngine()
-	digest := sim.NewDigestHook()
-	eng.RegisterHook(digest)
-	net := network.NewFlowNetwork(eng, topo)
-	net.RampBytes = cfg.Platform.CommRampBytes
-	net.SolveClock = cfg.Clock
-
+	h := newHarness(runOpts{
+		clock:     cfg.Clock,
+		telemetry: cfg.Telemetry,
+		metrics:   cfg.Metrics,
+		spanTrace: cfg.SpanTrace,
+		hooks:     cfg.Hooks,
+		ctx:       cfg.Context,
+		faults:    cfg.Faults,
+	}, topo, cfg.Platform.CommRampBytes)
 	spec := cfg.Platform.GPU
-	cl, err := serving.New(eng, net, topo, &spec, cfg.Serving)
+	cl, err := serving.New(h.eng, h.net, topo, &spec, cfg.Serving)
 	if err != nil {
 		return nil, err
 	}
-
-	var rec *spantrace.Recorder
-	if cfg.SpanTrace {
-		rec = spantrace.NewRecorder(nil, topo)
-		cl.Observe(rec)
-		cl.Spans = rec
-		eng.RegisterHook(rec.EngineHook(eng.Pending))
-	}
-
-	var inj *faults.Injector
-	if cfg.Faults != nil {
-		if cfg.Faults.Checkpoint != nil {
-			return nil, fmt.Errorf(
-				"core: serving has no checkpoint/restart model")
-		}
-		inj, err = faults.NewInjector(eng, net, cfg.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		if n := len(inj.Failures()); n > 0 {
-			return nil, fmt.Errorf(
-				"core: serving does not support gpufail events (%d in schedule): "+
-					"a failed replica would need request re-routing", n)
-		}
-		cl.Stretch = inj.Factor
-		inj.Arm()
-		if rec != nil {
-			for _, w := range inj.Windows() {
-				rec.AddFault(w.Label(), w.Start, w.End)
-			}
-		}
-	}
-
-	var coll *telemetry.Collector
-	if cfg.Telemetry || cfg.Metrics != nil {
-		reg := cfg.Metrics
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		coll = telemetry.NewCollector(reg, topo, nil)
-		eng.RegisterHook(coll.EngineHook(eng.Pending))
-		cl.Observe(coll)
-	}
-	switch {
-	case coll != nil && rec != nil:
-		net.Observer = network.MultiFlowObserver{coll, rec}
-	case coll != nil:
-		net.Observer = coll
-	case rec != nil:
-		net.Observer = rec
-	}
-	for _, h := range cfg.Hooks {
-		eng.RegisterHook(h)
-	}
-	if ctx := cfg.Context; ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: simulation canceled: %w", err)
-		}
-		var dispatched uint64
-		eng.RegisterHook(sim.HookFunc(func(hc sim.HookCtx) {
-			if hc.Pos != sim.HookPosAfterEvent {
-				return
-			}
-			dispatched++
-			if dispatched&1023 == 0 && ctx.Err() != nil {
-				eng.Terminate()
-			}
-		}))
-	}
-
-	cl.Start()
-	if err := eng.Run(); err != nil {
-		if cfg.Context != nil && cfg.Context.Err() != nil {
-			return nil, fmt.Errorf("core: simulation canceled: %w",
-				cfg.Context.Err())
-		}
+	if err := h.attach(workload{
+		observe: cl.Observe,
+		stretch: &cl.Stretch,
+	}); err != nil {
 		return nil, err
 	}
-	m, err := cl.Metrics()
+	cl.Spans = h.rec
+	var m *serving.Metrics
+	if err := h.run(func() (err error) {
+		cl.Start()
+		if err = h.eng.Run(); err != nil {
+			return err
+		}
+		m, err = cl.Metrics()
+		return err
+	}); err != nil {
+		return nil, err
+	}
+
+	// Serving has no checkpoint/restart overlay: the resilience walk over
+	// the whole run yields goodput 1 and useful == extended == total.
+	total := h.eng.CurrentTime()
+	o, err := h.finish(total, 0, telemetry.RunInfo{
+		Model:           cfg.Serving.Model,
+		Platform:        cfg.Platform.Name,
+		Parallelism:     "serving-" + m.Scheduler,
+		NumGPUs:         m.Replicas,
+		Iterations:      1,
+		TotalSec:        total.Seconds(),
+		PerIterationSec: total.Seconds(),
+		Parallel: telemetry.ParallelStat{
+			Strategy: "serving-" + m.Scheduler,
+			Replicas: m.Replicas,
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	out := &ServeResult{
+	if o.report != nil {
+		o.report.Serving = servingStat(m)
+	}
+	return &ServeResult{
 		Metrics:     m,
-		TotalTime:   eng.CurrentTime(),
-		Events:      eng.EventCount(),
-		EventDigest: digest.Sum64(),
-	}
-	if cfg.Clock != nil {
-		out.WallClock = cfg.Clock().Sub(start)
-	}
-	if rec != nil {
-		rec.Sample(spantrace.CounterQueueHighWatr, eng.CurrentTime(),
-			float64(eng.QueueHighWater()))
-		out.Spans = rec.Finalize()
-	}
-	if coll != nil {
-		out.Report = coll.Finalize(telemetry.RunInfo{
-			Model:           cfg.Serving.Model,
-			Platform:        cfg.Platform.Name,
-			Parallelism:     "serving-" + m.Scheduler,
-			NumGPUs:         m.Replicas,
-			Iterations:      1,
-			TotalSec:        out.TotalTime.Seconds(),
-			PerIterationSec: out.TotalTime.Seconds(),
-			Events:          out.Events,
-			QueueHighWater:  eng.QueueHighWater(),
-			NetTotalBytes:   net.TotalBytes,
-			NetTransfers:    net.TotalTransfers,
-			NetSolveSeconds: net.SolveWall.Seconds(),
-			Parallel: telemetry.ParallelStat{
-				Strategy: "serving-" + m.Scheduler,
-				Replicas: m.Replicas,
-			},
-		})
-		out.Report.Serving = servingStat(m)
-		out.Report.Engine.EventDigest = fmt.Sprintf("%#x", out.EventDigest)
-		if cfg.Clock != nil && out.WallClock > 0 {
-			out.Report.Engine.WallSeconds = out.WallClock.Seconds()
-			out.Report.Engine.EventsPerSecond =
-				float64(out.Events) / out.Report.Engine.WallSeconds
-		}
-		if inj != nil {
-			out.Report.Faults = servingFaultReport(inj, out.TotalTime)
-		}
-	}
-	return out, nil
+		TotalTime:   total,
+		Events:      o.events,
+		EventDigest: o.eventDigest,
+		WallClock:   o.wallClock,
+		Report:      o.report,
+		Spans:       o.spans,
+	}, nil
 }
 
 // servingStat converts serving metrics into the RunReport section.
@@ -255,28 +186,4 @@ func quantiles(ls serving.LatencyStats) telemetry.LatencyQuantiles {
 		P999Sec: ls.P999Sec,
 		MaxSec:  ls.MaxSec,
 	}
-}
-
-// servingFaultReport builds the fault section for a serving run: window
-// bookkeeping only. Serving has no resilience overlay, so the extended
-// timeline IS the useful timeline and goodput is 1 by construction.
-func servingFaultReport(inj *faults.Injector,
-	total sim.VTime) *telemetry.FaultReport {
-	ws := inj.Windows()
-	fr := &telemetry.FaultReport{
-		DegradedSec: faults.DegradedSeconds(ws, total),
-		UsefulSec:   total.Seconds(),
-		ExtendedSec: total.Seconds(),
-		Goodput:     1,
-	}
-	for _, w := range ws {
-		fr.Windows = append(fr.Windows, telemetry.FaultWindow{
-			Kind:     string(w.Kind),
-			Resource: w.ResourceName(),
-			Factor:   w.Factor,
-			StartSec: w.Start.Seconds(),
-			EndSec:   w.End.Seconds(),
-		})
-	}
-	return fr
 }

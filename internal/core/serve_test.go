@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"triosim/internal/faults"
 	"triosim/internal/serving"
+	"triosim/internal/telemetry"
 )
 
 // Pinned serving digests: the replay gate for the serving subsystem. These
@@ -156,9 +158,31 @@ func TestServeWithFaultsDigestPinned(t *testing.T) {
 	if err := first.Report.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// Serving has no checkpoint/restart overlay: the whole run is useful
+	// work, nothing is replayed or restarted, and goodput is exactly 1.
+	total := first.TotalTime.Seconds()
+	want := &telemetry.FaultReport{
+		DegradedSec: faults.DegradedSeconds(cfg.Faults.Windows(),
+			first.TotalTime),
+		UsefulSec:   total,
+		ExtendedSec: total,
+		Goodput:     1,
+	}
+	for _, w := range cfg.Faults.Windows() {
+		want.Windows = append(want.Windows, telemetry.FaultWindow{
+			Kind:     string(w.Kind),
+			Resource: w.ResourceName(),
+			Factor:   w.Factor,
+			StartSec: w.Start.Seconds(),
+			EndSec:   w.End.Seconds(),
+		})
+	}
 	fr := first.Report.Faults
-	if fr == nil || fr.DegradedSec <= 0 || fr.Goodput != 1 {
-		t.Fatalf("serving fault section wrong: %+v", fr)
+	if want.DegradedSec <= 0 || len(want.Windows) == 0 {
+		t.Fatalf("fault schedule injects nothing: %+v", want)
+	}
+	if !reflect.DeepEqual(fr, want) {
+		t.Fatalf("serving fault section:\n got %+v\nwant %+v", fr, want)
 	}
 }
 

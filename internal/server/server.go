@@ -11,6 +11,7 @@ import (
 
 	"triosim/internal/core"
 	"triosim/internal/digest"
+	"triosim/internal/sim"
 	"triosim/internal/sweep"
 	"triosim/internal/telemetry"
 	"triosim/internal/tracecache"
@@ -400,50 +401,51 @@ func (s *Server) next() (r *run, wake chan struct{}, stop bool) {
 // server's own pool provides the parallelism; sweep provides ctx threading,
 // panic isolation, and the cache installation point).
 func (s *Server) execute(r *run) (*Result, []byte, error) {
-	out := &Result{ID: r.id, Kind: r.req.kind, Digest: r.req.digest}
+	opts := sweep.Options{Workers: 1, Context: r.ctx}
+	var (
+		total               sim.VTime
+		events, eventDigest uint64
+		rep                 *telemetry.RunReport
+	)
+	// compile() validated the same constructors the Build closures call, so
+	// must panicking there is a programming error, isolated by the pool.
 	switch r.req.kind {
 	case KindServe:
-		results := sweep.Serve(sweep.Options{Workers: 1, Context: r.ctx},
-			[]sweep.ServeScenario{{Name: r.id, Build: func() core.ServeConfig {
-				cfg, err := r.req.serveConfig()
-				if err != nil {
-					// compile() validated the same constructors; reaching
-					// here is a programming error, isolated by the pool.
-					panic(err)
-				}
-				cfg.Context = r.ctx
-				return cfg
-			}}})
-		if err := results[0].Err; err != nil {
-			return nil, nil, err
+		res := sweep.Serve(opts, []sweep.ServeScenario{{Name: r.id,
+			Build: func() core.ServeConfig {
+				return must(r.req.serveConfig())
+			}}})[0]
+		if res.Err != nil {
+			return nil, nil, res.Err
 		}
-		sr := results[0].Value.Res
-		out.TotalSec = sr.TotalTime.Seconds()
-		out.Events = sr.Events
-		out.EventDigest = fmt.Sprintf("%#x", sr.EventDigest)
-		report, err := renderReport(sr.Report)
-		return out, report, err
+		v := res.Value.Res
+		total, events, eventDigest, rep =
+			v.TotalTime, v.Events, v.EventDigest, v.Report
 	default:
-		results := sweep.Simulate(sweep.Options{Workers: 1, Context: r.ctx},
-			[]sweep.Scenario{{Name: r.id, Build: func() core.Config {
-				cfg, err := r.req.coreConfig()
-				if err != nil {
-					panic(err)
-				}
-				cfg.Context = r.ctx
+		res := sweep.Simulate(opts, []sweep.Scenario{{Name: r.id,
+			Build: func() core.Config {
+				cfg := must(r.req.coreConfig())
 				cfg.Cache = s.cache
 				return cfg
-			}}})
-		if err := results[0].Err; err != nil {
-			return nil, nil, err
+			}}})[0]
+		if res.Err != nil {
+			return nil, nil, res.Err
 		}
-		sr := results[0].Value.Res
-		out.TotalSec = sr.TotalTime.Seconds()
-		out.Events = sr.Events
-		out.EventDigest = fmt.Sprintf("%#x", sr.EventDigest)
-		report, err := renderReport(sr.Report)
-		return out, report, err
+		v := res.Value.Res
+		total, events, eventDigest, rep =
+			v.TotalTime, v.Events, v.EventDigest, v.Report
 	}
+	report, err := renderReport(rep)
+	return &Result{ID: r.id, Kind: r.req.kind, Digest: r.req.digest,
+		TotalSec: total.Seconds(), Events: events,
+		EventDigest: fmt.Sprintf("%#x", eventDigest)}, report, err
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // finalizeLocked moves a run to its terminal state: classify, close the

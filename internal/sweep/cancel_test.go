@@ -102,9 +102,10 @@ func TestSimulateCancelMidQueue(t *testing.T) {
 	}
 }
 
-// trippingCtx reports no error on its first Err() call (core's pre-run gate)
-// and a cancellation on every later one, deterministically forcing the
-// engine's mid-dispatch poll — not the pre-run check — to terminate the run.
+// trippingCtx reports no error on its first two Err() calls (the sweep's
+// not-started gate and core's pre-run gate) and a cancellation on every later
+// one, deterministically forcing the engine's mid-dispatch poll — not a
+// pre-run check — to terminate the run.
 type trippingCtx struct {
 	context.Context
 	mu    sync.Mutex
@@ -115,30 +116,58 @@ func (c *trippingCtx) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.calls++
-	if c.calls > 1 {
+	if c.calls > 2 {
 		return context.Canceled
 	}
 	return nil
 }
 
+// The context poll is shared by training and serving runs, so it must stop
+// either engine mid-run and surface the cancellation, not the workload's
+// symptom (a stalled graph, unfinished requests).
 func TestSimulateEngineTerminatesMidRun(t *testing.T) {
-	// densenet121 dispatches >1024 events, so the engine's 1024-dispatch
-	// cancellation poll is guaranteed to fire at least once.
-	ctx := &trippingCtx{Context: context.Background()}
-	results := Simulate(Options{Workers: 1, Context: ctx},
-		[]Scenario{simScenario(t, "mid-run", "densenet121")})
-	err := results[0].Err
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-run cancel: %v, want context.Canceled", err)
+	cases := []struct {
+		name string
+		run  func(ctx context.Context) error
+	}{
+		// densenet121 dispatches >1024 events, so the engine's 1024-dispatch
+		// cancellation poll is guaranteed to fire at least once.
+		{"training", func(ctx context.Context) error {
+			return Simulate(Options{Workers: 1, Context: ctx},
+				[]Scenario{simScenario(t, "mid-run", "densenet121")})[0].Err
+		}},
+		// 64 requests dispatch ~1,600 events.
+		{"serving", func(ctx context.Context) error {
+			sc := serveScenario(t, "mid-run")
+			build := sc.Build
+			sc.Build = func() core.ServeConfig {
+				cfg := build()
+				cfg.Serving.Arrivals.Requests = 64
+				return cfg
+			}
+			return Serve(Options{Workers: 1, Context: ctx},
+				[]ServeScenario{sc})[0].Err
+		}},
 	}
-	if !strings.Contains(err.Error(), `"mid-run"`) {
-		t.Fatalf("error %q does not name the scenario", err)
-	}
-	ctx.mu.Lock()
-	polls := ctx.calls
-	ctx.mu.Unlock()
-	if polls < 2 {
-		t.Fatalf("engine never reached the dispatch poll (calls=%d)", polls)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := &trippingCtx{Context: context.Background()}
+			err := tc.run(ctx)
+			if !errors.Is(err, context.Canceled) ||
+				!strings.Contains(err.Error(), "simulation canceled") {
+				t.Fatalf("mid-run cancel: %v, want simulation canceled", err)
+			}
+			if !strings.Contains(err.Error(), `"mid-run"`) {
+				t.Fatalf("error %q does not name the scenario", err)
+			}
+			ctx.mu.Lock()
+			polls := ctx.calls
+			ctx.mu.Unlock()
+			if polls < 3 {
+				t.Fatalf("engine never reached the dispatch poll (calls=%d)",
+					polls)
+			}
+		})
 	}
 }
 

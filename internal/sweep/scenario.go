@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"triosim/internal/core"
+	"triosim/internal/spantrace"
 	"triosim/internal/tracecache"
 )
 
@@ -35,11 +36,15 @@ type Scenario struct {
 	Build func() core.Config
 }
 
-// SimResult is one scenario's simulation outcome.
-type SimResult struct {
+// Named is one scenario's outcome: its name and its run's result (the zero
+// value when the scenario failed).
+type Named[R any] struct {
 	Name string
-	Res  *core.Result
+	Res  R
 }
+
+// SimResult is one scenario's simulation outcome.
+type SimResult = Named[*core.Result]
 
 // Simulate runs the scenarios through core.Simulate on the pool. Results are
 // in scenario order; a scenario's failure is confined to its own Result. The
@@ -61,36 +66,51 @@ func Simulate(opts Options, scenarios []Scenario) []Result[SimResult] {
 	jobs := make([]Job[SimResult], len(scenarios))
 	for i := range scenarios {
 		sc := scenarios[i]
-		jobs[i] = func(ctx context.Context) (SimResult, error) {
-			cfg := sc.Build()
-			if cfg.Context == nil {
-				cfg.Context = ctx
-			}
-			if cfg.Cache == nil {
-				cfg.Cache = cache
-			}
-			if opts.TraceDir != "" {
-				cfg.SpanTrace = true
-			}
-			res, err := core.Simulate(cfg)
-			if err != nil {
-				// Name the scenario: a per-scenario timeout surfaces from
-				// core as a bare context error, useless in a 50-scenario
-				// sweep without saying *which* scenario it killed.
-				return SimResult{Name: sc.Name},
-					fmt.Errorf("sweep: scenario %q: %w", sc.Name, err)
-			}
-			if opts.TraceDir != "" && res.Spans != nil {
-				path := filepath.Join(opts.TraceDir,
-					SanitizeName(sc.Name)+".trace.json")
-				if err := res.Spans.WriteChromeTraceFile(path); err != nil {
-					return SimResult{Name: sc.Name},
-						fmt.Errorf("sweep: scenario %q: write trace: %w",
-							sc.Name, err)
+		jobs[i] = scenarioJob(opts, sc.Name,
+			func(ctx context.Context, spanTrace bool) (*core.Result, error) {
+				cfg := sc.Build()
+				if cfg.Context == nil {
+					cfg.Context = ctx
 				}
-			}
-			return SimResult{Name: sc.Name, Res: res}, nil
-		}
+				if cfg.Cache == nil {
+					cfg.Cache = cache
+				}
+				cfg.SpanTrace = cfg.SpanTrace || spanTrace
+				return core.Simulate(cfg)
+			},
+			func(r *core.Result) *spantrace.Log { return r.Spans })
 	}
 	return Run(opts, jobs)
+}
+
+// scenarioJob wraps one named scenario's run in the per-job plumbing that
+// Simulate and Serve share. run receives the job context, to thread into a
+// config that carries none, and whether Options.TraceDir forces span
+// tracing on; spans extracts the run's span log. A failure is wrapped with
+// the scenario's name, and with TraceDir set the span log is written to
+// <TraceDir>/<sanitized name>.trace.json.
+func scenarioJob[R any](opts Options, name string,
+	run func(ctx context.Context, spanTrace bool) (R, error),
+	spans func(R) *spantrace.Log) Job[Named[R]] {
+
+	return func(ctx context.Context) (Named[R], error) {
+		out := Named[R]{Name: name}
+		res, err := run(ctx, opts.TraceDir != "")
+		if err != nil {
+			// Name the scenario: a per-scenario timeout surfaces from core
+			// as a bare context error, useless in a 50-scenario sweep
+			// without saying *which* scenario it killed.
+			return out, fmt.Errorf("sweep: scenario %q: %w", name, err)
+		}
+		if log := spans(res); opts.TraceDir != "" && log != nil {
+			path := filepath.Join(opts.TraceDir,
+				SanitizeName(name)+".trace.json")
+			if err := log.WriteChromeTraceFile(path); err != nil {
+				return out, fmt.Errorf("sweep: scenario %q: write trace: %w",
+					name, err)
+			}
+		}
+		out.Res = res
+		return out, nil
+	}
 }

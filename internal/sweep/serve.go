@@ -2,10 +2,9 @@ package sweep
 
 import (
 	"context"
-	"fmt"
-	"path/filepath"
 
 	"triosim/internal/core"
+	"triosim/internal/spantrace"
 )
 
 // ServeScenario is one named serving configuration in a sweep.
@@ -17,10 +16,7 @@ type ServeScenario struct {
 }
 
 // ServeResult is one serving scenario's outcome.
-type ServeResult struct {
-	Name string
-	Res  *core.ServeResult
-}
+type ServeResult = Named[*core.ServeResult]
 
 // Serve runs serving scenarios through core.Serve on the pool, mirroring
 // Simulate: results in scenario order, failures confined to their own
@@ -31,30 +27,16 @@ func Serve(opts Options, scenarios []ServeScenario) []Result[ServeResult] {
 	jobs := make([]Job[ServeResult], len(scenarios))
 	for i := range scenarios {
 		sc := scenarios[i]
-		jobs[i] = func(ctx context.Context) (ServeResult, error) {
-			cfg := sc.Build()
-			if cfg.Context == nil {
-				cfg.Context = ctx
-			}
-			if opts.TraceDir != "" {
-				cfg.SpanTrace = true
-			}
-			res, err := core.Serve(cfg)
-			if err != nil {
-				return ServeResult{Name: sc.Name},
-					fmt.Errorf("sweep: scenario %q: %w", sc.Name, err)
-			}
-			if opts.TraceDir != "" && res.Spans != nil {
-				path := filepath.Join(opts.TraceDir,
-					SanitizeName(sc.Name)+".trace.json")
-				if err := res.Spans.WriteChromeTraceFile(path); err != nil {
-					return ServeResult{Name: sc.Name},
-						fmt.Errorf("sweep: scenario %q: write trace: %w",
-							sc.Name, err)
+		jobs[i] = scenarioJob(opts, sc.Name,
+			func(ctx context.Context, spanTrace bool) (*core.ServeResult, error) {
+				cfg := sc.Build()
+				if cfg.Context == nil {
+					cfg.Context = ctx
 				}
-			}
-			return ServeResult{Name: sc.Name, Res: res}, nil
-		}
+				cfg.SpanTrace = cfg.SpanTrace || spanTrace
+				return core.Serve(cfg)
+			},
+			func(r *core.ServeResult) *spantrace.Log { return r.Spans })
 	}
 	return Run(opts, jobs)
 }

@@ -1,14 +1,12 @@
 // Package timeline records execution intervals produced by the simulator:
 // which resource (GPU compute stream, network) was doing what, from when to
 // when. It backs TrioSim's outputs beyond the total time: the per-layer and
-// per-stage communication/computation breakdown and the Daisen-style
-// timeline export.
+// per-stage communication/computation breakdown and the HTML timeline
+// viewer.
 package timeline
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"triosim/internal/sim"
@@ -147,42 +145,6 @@ func (tl *Timeline) Resources() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// chromeEvent is the Chrome trace-viewer "complete" event format, which
-// Daisen-style visualizers (chrome://tracing, Perfetto) load directly.
-type chromeEvent struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"`  // microseconds
-	Dur  float64 `json:"dur"` // microseconds
-	PID  int     `json:"pid"`
-	TID  int     `json:"tid"`
-}
-
-// ExportChromeTrace writes the timeline as a Chrome trace-viewer JSON array.
-func (tl *Timeline) ExportChromeTrace(w io.Writer) error {
-	resources := tl.Resources()
-	tidOf := map[string]int{}
-	for i, r := range resources {
-		tidOf[r] = i
-	}
-	events := make([]chromeEvent, 0, len(tl.Intervals))
-	for i := range tl.Intervals {
-		iv := &tl.Intervals[i]
-		events = append(events, chromeEvent{
-			Name: iv.Label,
-			Cat:  iv.Phase,
-			Ph:   "X",
-			Ts:   iv.Start.Microseconds(),
-			Dur:  iv.Duration().Microseconds(),
-			PID:  0,
-			TID:  tidOf[iv.Resource],
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(events)
 }
 
 // Summary formats per-resource busy times for quick inspection.

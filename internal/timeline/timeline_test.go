@@ -1,8 +1,6 @@
 package timeline
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/rand"
 	"sort"
 	"testing"
@@ -128,29 +126,6 @@ func TestUnionMatchesBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: union %v, brute force %d", trial, got,
 				len(covered))
 		}
-	}
-}
-
-func TestChromeTraceExport(t *testing.T) {
-	tl := New()
-	tl.Add("gpu0", "conv2d", "compute", 0, 1e-3)
-	tl.Add("net", "allreduce", "comm", 1e-3, 2e-3)
-	var buf bytes.Buffer
-	if err := tl.ExportChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("invalid chrome trace JSON: %v", err)
-	}
-	if len(events) != 2 {
-		t.Fatalf("events = %d", len(events))
-	}
-	if events[0]["name"] != "conv2d" || events[0]["ph"] != "X" {
-		t.Fatalf("bad event: %v", events[0])
-	}
-	if events[0]["dur"].(float64) != 1000 {
-		t.Fatalf("duration should be in microseconds: %v", events[0]["dur"])
 	}
 }
 

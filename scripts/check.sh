@@ -59,6 +59,11 @@ go run ./cmd/triosim -model resnet18 -platform P1 -parallelism ddp \
   -trace-batch 32 -trace-out "$trace_out" >/dev/null
 go run ./cmd/triosimvet -trace-check "$trace_out"
 
+echo "==> serving span-trace smoke (-serve-sim -trace-out + trace-event schema validation)"
+go run ./cmd/triosim -serve-sim -model gpt2 -platform P1 -serve-requests 24 \
+  -serve-rate 200 -serve-seed 7 -trace-out "$tmpdir/serving-trace.json" >/dev/null
+go run ./cmd/triosimvet -trace-check "$tmpdir/serving-trace.json"
+
 echo "==> triosimd smoke (daemon + load harness + coalescing + CLI byte-identity gate)"
 go build -o "$tmpdir/triosimd" ./cmd/triosimd
 go build -o "$tmpdir/triosimload" ./cmd/triosimload
