@@ -205,4 +205,18 @@ func TestRejections(t *testing.T) {
 	if _, err := ts.Build(); err == nil {
 		t.Fatal("out-of-range override accepted")
 	}
+	// A negative bucket_mb must fail the run with an error naming the
+	// bucket size, not fall back to the default bucket silently.
+	spec, err := Load(writeSpec(t, `{"model": "resnet18", "platform": "P2",
+		"parallelism": "ddp", "trace_batch": 32, "bucket_mb": -1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := spec.ToCore()
+	if err == nil {
+		_, err = core.Simulate(cfg)
+	}
+	if err == nil || !strings.Contains(err.Error(), "BucketBytes") {
+		t.Fatalf("bucket_mb -1: %v, want an error naming BucketBytes", err)
+	}
 }

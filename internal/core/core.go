@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"triosim/internal/extrapolator"
@@ -175,6 +176,12 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.Iterations == 0 {
 		out.Iterations = 1
+	}
+	// Zero means the 25 MB default; a negative size would silently mean the
+	// same, so it is rejected here rather than ignored downstream.
+	if out.BucketBytes < 0 || math.IsNaN(out.BucketBytes) {
+		return out, fmt.Errorf("core: BucketBytes must be >= 0, got %g",
+			out.BucketBytes)
 	}
 	return out, nil
 }

@@ -223,6 +223,12 @@ func TestConfigErrors(t *testing.T) {
 		t.Fatalf("negative iterations: %v, want an error naming Iterations",
 			err)
 	}
+	if _, err := Simulate(Config{Model: "resnet18", Platform: p1(),
+		BucketBytes: -1}); err == nil ||
+		!strings.Contains(err.Error(), "BucketBytes") {
+		t.Fatalf("negative bucket size: %v, want an error naming BucketBytes",
+			err)
+	}
 }
 
 func TestBuildTopologyKinds(t *testing.T) {

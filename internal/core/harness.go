@@ -232,6 +232,8 @@ func (h *harness) finish(end, ckptCost sim.VTime,
 		info.QueueHighWater = h.eng.QueueHighWater()
 		info.NetTotalBytes = h.net.TotalBytes
 		info.NetTransfers = h.net.TotalTransfers
+		info.NetSolvedFlows = h.net.SolvedFlows
+		info.NetSolvedLinks = h.net.SolvedLinks
 		info.NetSolveSeconds = h.net.SolveWall.Seconds()
 		o.report = h.coll.Finalize(info)
 		o.report.Engine.EventDigest = fmt.Sprintf("%#x", o.eventDigest)

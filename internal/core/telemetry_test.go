@@ -119,6 +119,37 @@ func TestReportTimeAccounting(t *testing.T) {
 	}
 }
 
+// TestReportSolverClosureSizes checks that the max-min solver's re-solved
+// closure sizes reach the RunReport and the matching Prometheus counters.
+func TestReportSolverClosureSizes(t *testing.T) {
+	res, err := Simulate(Config{
+		Model: "resnet18", Platform: p2(), Parallelism: DDP,
+		TraceBatch: 32, Telemetry: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := res.Report.Network
+	if n.RateRecomputes == 0 || n.SolvedFlows == 0 || n.SolvedLinks == 0 {
+		t.Fatalf("solver counts not reported: %+v", n)
+	}
+	want := map[string]int{
+		"triosim_net_solved_flows_total": n.SolvedFlows,
+		"triosim_net_solved_links_total": n.SolvedLinks,
+	}
+	for _, m := range res.Report.Metrics {
+		if w, ok := want[m.Name]; ok {
+			if m.Value != float64(w) {
+				t.Errorf("%s = %g, report says %d", m.Name, m.Value, w)
+			}
+			delete(want, m.Name)
+		}
+	}
+	if len(want) > 0 {
+		t.Fatalf("missing counters: %v", want)
+	}
+}
+
 // TestReportCollectiveEfficiency sanity-checks the NCCL-style bandwidth
 // accounting: ring AllReduce bus bandwidth must not exceed the ideal link
 // bandwidth, and efficiency must land in (0, 1].

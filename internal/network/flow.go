@@ -75,8 +75,9 @@ type flow struct {
 	// mark is the computeRates solve generation that froze this flow's rate
 	// (scratch state replacing a per-solve "unassigned" set).
 	mark int
-	// seen is the solve generation that collected this flow into the dirty
-	// closure (dedup stamp; monotonic like mark, survives recycling).
+	// seen is the solve generation that collected this flow into the
+	// re-solved closure (dedup stamp; monotonic like mark, survives
+	// recycling).
 	seen int
 	// schedRate is the achieved rate the live delivery event was scheduled
 	// with (0 = starved / no event). It carries the drain rate across a
@@ -90,23 +91,17 @@ type flow struct {
 
 // linkState is the per-directed-link allocator state. flows is maintained
 // incrementally across Send/complete instead of being rebuilt on every
-// max-min solve; cap, active, heapKey and seenGen are scratch fields valid
-// only inside one computeRates call.
-//
-// Each linkState is also an element of two persistent structures: a
-// union-find over directed links (two links share a partition when some
-// flow's route has crossed both — the transitive link-sharing components
-// max-min provably decomposes over) and, while it carries flows, an
-// intrusive per-partition active-link list that lets a solve enumerate
-// exactly the links of the dirty components.
+// max-min solve; it is also the only link-sharing structure a solve needs:
+// walking link → flows → their route links from the links a change touched
+// enumerates exactly the current link-sharing component(s) to re-solve.
+// cap, active, heapKey and seenGen are scratch fields valid only inside one
+// computeRates call.
 type linkState struct {
 	cap    float64 // scratch: remaining capacity during a solve
 	active int     // scratch: unassigned crossing flows during a solve
 	flows  []*flow // in-flight flows crossing this link, ascending id
 
 	key DirLink
-	// idx is the dense union-find element index (creation order).
-	idx int
 	// sortKey reproduces the historical sorted-scan tie-break order
 	// (ascending link ID, forward before reverse) for the solve heap.
 	sortKey uint64
@@ -116,9 +111,6 @@ type linkState struct {
 	// seenGen stamps the solve generation that initialized the scratch
 	// fields, so a solve touches each closure link's state exactly once.
 	seenGen int
-	// prevActive/nextActive chain the intrusive active-link list of this
-	// link's partition root (only valid while len(flows) > 0).
-	prevActive, nextActive *linkState
 }
 
 // FlowNetwork is the flow-based packet-switching model: shortest-path
@@ -162,27 +154,15 @@ type FlowNetwork struct {
 	// sortKey encoding) — a slice, not a map keyed by DirLink, because the
 	// solver pays one lookup per route hop per filling round and the hash
 	// alone dominated 10k-GPU solves. nil entries are directed links no route
-	// has crossed yet; states holds the same linkStates in creation order for
-	// the union-find arrays below.
+	// has crossed yet.
 	links    []*linkState
-	states   []*linkState
 	solveGen int
 
-	// Partition (dirty-set) state. ufParent/ufSize are a weighted
-	// union-find over states: attachLinks unions every link of a route, so
-	// a partition root identifies one transitive link-sharing component.
-	// Components only ever merge (a detach never splits them — stale
-	// merges are conservative, never wrong). heads/tails hold each root's
-	// intrusive list of links that currently carry flows; dirtyFlag/
-	// dirtyList record which elements' components changed membership since
-	// the last solve, and rootGen dedups canonicalized roots per solve.
-	ufParent  []int
-	ufSize    []int
-	heads     []*linkState
-	tails     []*linkState
-	dirtyFlag []bool
-	dirtyList []int
-	rootGen   []int
+	// touched lists every route link a flow attached to or detached from
+	// since the last solve (duplicates allowed; every solve clears it). The
+	// next solve re-solves exactly the link-sharing closure of the touched
+	// links that still carry flows.
+	touched []*linkState
 	// allDirty forces a full re-solve: set when the topology's capacity
 	// generation moved (SetLinkBandwidth without an explicit refresh mark),
 	// preserving the historical "capacities are re-read every solve"
@@ -190,9 +170,10 @@ type FlowNetwork struct {
 	allDirty   bool
 	lastCapGen int
 
-	// Per-solve scratch, reused across solves: the dirty closure's flows
-	// (sorted ascending id after collection) and links, and the bottleneck
-	// min-heap keyed by (fair share, sortKey).
+	// Per-solve scratch, reused across solves: the closure's flows and links
+	// in walk order, and the bottleneck min-heap keyed by (fair share,
+	// sortKey). Neither order reaches the schedule: the heap order is total
+	// and reallocate sorts what it reschedules.
 	scratchFlows []*flow
 	solveLinks   []*linkState
 	heap         []solveEntry
@@ -224,7 +205,7 @@ type FlowNetwork struct {
 	// Solves counts max-min recomputations.
 	Solves int
 	// SolvedFlows/SolvedLinks count the flows and directed links actually
-	// re-solved across all solves — the dirty-set win shows up as these
+	// re-solved across all solves — the closure win shows up as these
 	// staying far below Solves × InFlight on partitioned topologies.
 	SolvedFlows int
 	SolvedLinks int
@@ -324,43 +305,26 @@ func (n *FlowNetwork) releaseFlow(f *flow) {
 // admitted in ascending id order and removal preserves relative order, so
 // each linkState.flows slice stays sorted by id — the invariant the solve's
 // freeze loop relies on for deterministic (and bit-identical) allocation.
-// The route's links are unioned into one partition and that partition is
-// marked dirty for the next solve.
+// Every route link is recorded as touched for the next solve.
 func (n *FlowNetwork) attachLinks(f *flow) {
-	first := -1
 	for _, dl := range f.route {
 		st := n.linkFor(dl)
 		if st == nil {
 			st = n.newLinkState(dl)
 		}
-		if len(st.flows) == 0 {
-			n.activateLink(st)
-		}
 		st.flows = append(st.flows, f)
-		if first < 0 {
-			first = st.idx
-		} else {
-			n.union(first, st.idx)
-		}
+		n.touched = append(n.touched, st)
 	}
-	n.markDirty(first)
 }
 
 // detachLinks removes f from its route's link sets and from the ordered
-// slice, preserving order, and marks the flow's partition dirty.
+// slice, preserving order, and records the route links as touched.
 func (n *FlowNetwork) detachLinks(f *flow) {
-	first := -1
 	for _, dl := range f.route {
 		st := n.linkFor(dl)
-		if first < 0 {
-			first = st.idx
-		}
 		st.flows = removeFlow(st.flows, f)
-		if len(st.flows) == 0 {
-			n.deactivateLink(st)
-		}
+		n.touched = append(n.touched, st)
 	}
-	n.markDirty(first)
 	n.ordered = removeFlow(n.ordered, f)
 }
 
@@ -384,9 +348,9 @@ func (n *FlowNetwork) linkFor(dl DirLink) *linkState {
 }
 
 // newLinkState creates the allocator state for a directed link the first
-// time a route crosses it, registering it with the union-find arrays.
+// time a route crosses it.
 func (n *FlowNetwork) newLinkState(dl DirLink) *linkState {
-	st := &linkState{key: dl, idx: len(n.states)}
+	st := &linkState{key: dl}
 	st.sortKey = uint64(dl.Link) << 1
 	if !dl.Forward {
 		st.sortKey |= 1
@@ -398,89 +362,7 @@ func (n *FlowNetwork) newLinkState(dl DirLink) *linkState {
 		n.links = append(n.links, nil)
 	}
 	n.links[di] = st
-	n.states = append(n.states, st)
-	n.ufParent = append(n.ufParent, st.idx)
-	n.ufSize = append(n.ufSize, 1)
-	n.heads = append(n.heads, nil)
-	n.tails = append(n.tails, nil)
-	n.dirtyFlag = append(n.dirtyFlag, false)
-	n.rootGen = append(n.rootGen, 0)
 	return st
-}
-
-// find returns the partition root of link element x (path-halving).
-func (n *FlowNetwork) find(x int) int {
-	for n.ufParent[x] != x {
-		n.ufParent[x] = n.ufParent[n.ufParent[x]]
-		x = n.ufParent[x]
-	}
-	return x
-}
-
-// union merges the partitions of link elements a and b (union by size),
-// concatenating the loser's active-link list onto the winner's.
-func (n *FlowNetwork) union(a, b int) {
-	ra, rb := n.find(a), n.find(b)
-	if ra == rb {
-		return
-	}
-	if n.ufSize[ra] < n.ufSize[rb] {
-		ra, rb = rb, ra
-	}
-	n.ufParent[rb] = ra
-	n.ufSize[ra] += n.ufSize[rb]
-	if n.heads[rb] != nil {
-		if n.tails[ra] != nil {
-			n.tails[ra].nextActive = n.heads[rb]
-			n.heads[rb].prevActive = n.tails[ra]
-		} else {
-			n.heads[ra] = n.heads[rb]
-		}
-		n.tails[ra] = n.tails[rb]
-		n.heads[rb], n.tails[rb] = nil, nil
-	}
-}
-
-// activateLink inserts st into its partition root's active-link list (the
-// link is about to carry its first flow).
-func (n *FlowNetwork) activateLink(st *linkState) {
-	r := n.find(st.idx)
-	st.prevActive = n.tails[r]
-	st.nextActive = nil
-	if n.tails[r] != nil {
-		n.tails[r].nextActive = st
-	} else {
-		n.heads[r] = st
-	}
-	n.tails[r] = st
-}
-
-// deactivateLink unlinks st from its partition root's active-link list (its
-// last flow just detached).
-func (n *FlowNetwork) deactivateLink(st *linkState) {
-	r := n.find(st.idx)
-	if st.prevActive != nil {
-		st.prevActive.nextActive = st.nextActive
-	} else {
-		n.heads[r] = st.nextActive
-	}
-	if st.nextActive != nil {
-		st.nextActive.prevActive = st.prevActive
-	} else {
-		n.tails[r] = st.prevActive
-	}
-	st.prevActive, st.nextActive = nil, nil
-}
-
-// markDirty queues link element idx's partition for re-solving. Roots are
-// canonicalized (and deduped) at solve time, so marking a non-root element
-// that later merges into a bigger component still dirties the right root.
-func (n *FlowNetwork) markDirty(idx int) {
-	if idx < 0 || n.dirtyFlag[idx] {
-		return
-	}
-	n.dirtyFlag[idx] = true
-	n.dirtyList = append(n.dirtyList, idx)
 }
 
 // removeFlow deletes f from s, keeping the remaining order.
@@ -521,7 +403,7 @@ func (n *FlowNetwork) RefreshRates() {
 	n.scheduleReallocate(n.eng.CurrentTime())
 }
 
-// reallocate re-solves the max-min rates of the dirty closure and
+// reallocate re-solves the max-min rates of the touched closure and
 // reschedules the delivery events of exactly those closure flows whose
 // achieved rate changed. A flow whose new rate is bit-equal to the rate its
 // live event was scheduled with keeps that event: draining on at the same
@@ -605,16 +487,18 @@ func (n *FlowNetwork) completeFlow(f *flow, gen int, now sim.VTime) {
 //
 // Two structural fast paths make this scale to 10k-GPU fabrics while
 // producing bit-identical rates (TestMaxMinMatchesReferenceSolve and
-// TestPartitionedSolveMatchesReference pin this):
+// TestPartitionedSolveMatchesReferenceOnTieredTopo pin this):
 //
-//  1. Dirty partitions. Max-min decomposes exactly over the connected
-//     components of the link-sharing graph (flows in disjoint components
-//     never exchange capacity, and the global freeze order restricted to a
-//     component equals the component's own freeze order). Only components
-//     whose membership changed since the last solve — or all of them, when
-//     a capacity changed — are re-solved; every other flow keeps the rate
-//     an earlier solve froze, which is exactly what the global solve would
-//     recompute for it.
+//  1. Closure re-solves. Max-min decomposes exactly over the connected
+//     components of the current link-sharing graph (flows in disjoint
+//     components never exchange capacity, and the global freeze order
+//     restricted to a component equals the component's own freeze order).
+//     Only the components containing a link touched since the last solve —
+//     or all of them, when a capacity changed — are re-solved, found by
+//     walking link → flows → route links from the touched links. Any other
+//     component has exactly the flows and links it had at the last solve,
+//     so its flows keep the rates that solve froze, which is exactly what
+//     the global solve would recompute for them.
 //
 //  2. Bottleneck heap. Within a component, the most constrained link is
 //     popped from a min-heap keyed by (fair share, historical scan order)
@@ -702,54 +586,54 @@ func (n *FlowNetwork) computeRates() {
 // gatherAll collects every in-flight flow and every link they cross into
 // the solve scratch (the full re-solve the historical allocator always did).
 func (n *FlowNetwork) gatherAll(gen int) {
-	// Consume any pending dirty marks; this solve covers them.
-	for _, idx := range n.dirtyList {
-		n.dirtyFlag[idx] = false
-	}
-	n.dirtyList = n.dirtyList[:0]
+	n.touched = n.touched[:0] // this solve covers every pending change
 	for _, f := range n.ordered {
 		f.seen = gen
 		n.scratchFlows = append(n.scratchFlows, f) //triosim:nolint hotpath-alloc -- reused scratch buffer, grows to steady-state size once
 		for _, dl := range f.route {
-			st := n.links[denseIndex(dl)]
-			if st.seenGen == gen {
-				continue
+			if st := n.links[denseIndex(dl)]; st.seenGen != gen {
+				n.visitLink(st, gen)
 			}
-			st.seenGen = gen
-			st.cap = n.topo.Links[dl.Link].Bandwidth
-			st.active = len(st.flows)
-			n.solveLinks = append(n.solveLinks, st) //triosim:nolint hotpath-alloc -- reused scratch buffer, grows to steady-state size once
 		}
 	}
 }
 
-// gatherDirty collects the flows and links of every dirty partition into
-// the solve scratch, leaving untouched components alone.
+// gatherDirty collects the exact link-sharing closure of the links touched
+// since the last solve: a breadth-first walk link → its current flows →
+// their route links, with solveLinks itself as the queue. Touched links
+// that no longer carry flows start nothing; components no touched link
+// reaches are left alone.
 func (n *FlowNetwork) gatherDirty(gen int) {
-	for _, idx := range n.dirtyList {
-		n.dirtyFlag[idx] = false
-		root := n.find(idx)
-		if n.rootGen[root] == gen {
-			continue // several dirty marks canonicalized to one component
+	for _, st := range n.touched {
+		if len(st.flows) > 0 && st.seenGen != gen {
+			n.visitLink(st, gen)
 		}
-		n.rootGen[root] = gen
-		for st := n.heads[root]; st != nil; st = st.nextActive {
-			st.seenGen = gen
-			// Capacity is re-read from the topology each solve so mid-run
-			// bandwidth changes keep taking effect.
-			st.cap = n.topo.Links[st.key.Link].Bandwidth
-			st.active = len(st.flows)
-			n.solveLinks = append(n.solveLinks, st) //triosim:nolint hotpath-alloc -- reused scratch buffer, grows to steady-state size once
-			for _, f := range st.flows {
-				if f.seen == gen {
-					continue
+	}
+	n.touched = n.touched[:0]
+	for i := 0; i < len(n.solveLinks); i++ {
+		for _, f := range n.solveLinks[i].flows {
+			if f.seen == gen {
+				continue
+			}
+			f.seen = gen
+			n.scratchFlows = append(n.scratchFlows, f) //triosim:nolint hotpath-alloc -- reused scratch buffer, grows to steady-state size once
+			for _, dl := range f.route {
+				if st := n.links[denseIndex(dl)]; st.seenGen != gen {
+					n.visitLink(st, gen)
 				}
-				f.seen = gen
-				n.scratchFlows = append(n.scratchFlows, f) //triosim:nolint hotpath-alloc -- reused scratch buffer, grows to steady-state size once
 			}
 		}
 	}
-	n.dirtyList = n.dirtyList[:0]
+}
+
+// visitLink adds st to the solve's links, initializing its scratch fields
+// once per solve. Capacity is re-read from the topology each solve so
+// mid-run bandwidth changes keep taking effect.
+func (n *FlowNetwork) visitLink(st *linkState, gen int) {
+	st.seenGen = gen
+	st.cap = n.topo.Links[st.key.Link].Bandwidth
+	st.active = len(st.flows)
+	n.solveLinks = append(n.solveLinks, st) //triosim:nolint hotpath-alloc -- reused scratch buffer, grows to steady-state size once
 }
 
 // heapPush adds e to the bottleneck min-heap ordered by (fair, sortKey).

@@ -89,9 +89,9 @@ type Topology struct {
 	tiered   bool // any link carries a non-empty Tier
 	machines int  // max assigned Machine + 1
 	// capGen increments on every SetLinkBandwidth so the flow solver can
-	// detect capacity changes that arrive without an explicit dirty mark
-	// and fall back to a full re-solve (preserving the historical
-	// "capacities are re-read every solve" semantics).
+	// detect capacity changes that arrive without a flow change and fall
+	// back to a full re-solve (preserving the historical "capacities are
+	// re-read every solve" semantics).
 	capGen int
 }
 

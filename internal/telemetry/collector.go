@@ -372,6 +372,10 @@ type RunInfo struct {
 	// NetTotalBytes / NetTransfers come from the flow network's own stats.
 	NetTotalBytes float64
 	NetTransfers  int
+	// NetSolvedFlows / NetSolvedLinks are the flow network's cumulative
+	// re-solved closure sizes (network.FlowNetwork.SolvedFlows/SolvedLinks).
+	NetSolvedFlows int
+	NetSolvedLinks int
 	// NetSolveSeconds is the host time the flow network spent inside max-min
 	// solves (zero unless the caller injected a clock — see
 	// network.FlowNetwork.SolveClock).
@@ -487,6 +491,14 @@ func (c *Collector) Finalize(info RunInfo) *RunReport {
 	rep.Network.TotalBytes = info.NetTotalBytes
 	rep.Network.Transfers = info.NetTransfers
 	rep.Network.RateRecomputes = c.recomputes
+	rep.Network.SolvedFlows = info.NetSolvedFlows
+	rep.Network.SolvedLinks = info.NetSolvedLinks
+	c.reg.Counter("triosim_net_solved_flows_total", "", "",
+		"Flows re-solved across all max-min recomputations.").
+		Add(float64(info.NetSolvedFlows))
+	c.reg.Counter("triosim_net_solved_links_total", "", "",
+		"Directed links re-solved across all max-min recomputations.").
+		Add(float64(info.NetSolvedLinks))
 	rep.Network.SolveSeconds = info.NetSolveSeconds
 	if info.NetSolveSeconds > 0 {
 		c.reg.Gauge("triosim_net_solve_wall_seconds", "", "",

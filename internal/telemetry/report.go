@@ -107,6 +107,11 @@ type NetStat struct {
 	TotalBytes     float64 `json:"total_bytes"`
 	Transfers      int     `json:"transfers"`
 	RateRecomputes int     `json:"rate_recomputes"`
+	// SolvedFlows / SolvedLinks total the flows and directed links the
+	// max-min solves re-solved (each solve covers only the link-sharing
+	// closure of what changed). Deterministic counts, not wall clock.
+	SolvedFlows int `json:"solved_flows"`
+	SolvedLinks int `json:"solved_links"`
 	// MaxLinkUtilization is the highest per-direction link utilization.
 	MaxLinkUtilization float64 `json:"max_link_utilization"`
 	// SolveSeconds is host time inside max-min solves (self-profiling;
@@ -308,6 +313,10 @@ func (r *RunReport) Validate() error {
 		if t.Bytes < 0 {
 			return fmt.Errorf("telemetry: tier %s negative bytes", t.Tier)
 		}
+	}
+	if n := r.Network; n.RateRecomputes < 0 || n.SolvedFlows < 0 ||
+		n.SolvedLinks < 0 {
+		return fmt.Errorf("telemetry: network has negative solver counts")
 	}
 	for _, c := range r.Collectives {
 		if c.EndSec < c.StartSec {

@@ -198,6 +198,18 @@ func TestReportValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("utilization > 1 accepted")
 	}
+
+	bad = *rep
+	bad.Network.SolvedFlows = -1
+	if bad.Validate() == nil {
+		t.Fatal("negative solved_flows accepted")
+	}
+
+	bad = *rep
+	bad.Network.SolvedLinks = -1
+	if bad.Validate() == nil {
+		t.Fatal("negative solved_links accepted")
+	}
 }
 
 func TestParseReportRoundTrip(t *testing.T) {
