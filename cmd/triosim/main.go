@@ -14,14 +14,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"time"
 
 	"triosim"
 	"triosim/internal/config"
 	"triosim/internal/monitor"
-	"triosim/internal/timeline"
 )
 
 func main() {
@@ -322,70 +320,27 @@ func runAndReport(cfg triosim.Config, validate, memCheck, deterministic bool,
 	}
 
 	if timelineHTML != "" {
-		f, err := os.Create(timelineHTML)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
 		title := fmt.Sprintf("%s · %s · %s", cfg.Model, plat.Name,
 			cfg.Parallelism)
-		critical, summary := criticalOverlay(res)
-		if err := res.Timeline.ExportHTMLHighlight(f, title, critical,
-			summary); err != nil {
+		if err := writeTimelineHTML(timelineHTML, title, res); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("timeline html:   %s\n", timelineHTML)
 	}
 }
 
-// criticalOverlay builds the HTML viewer's critical-path matcher and summary
-// lines from the run's critical-path report (nil, nil when none).
-func criticalOverlay(res *triosim.Result) (func(*timeline.Interval) bool,
-	[]string) {
-	cp := res.CriticalPath
-	if cp == nil || len(cp.Steps) == 0 {
-		return nil, nil
+// writeTimelineHTML renders the run's span log as the HTML timeline viewer
+// at path, with its critical path outlined.
+func writeTimelineHTML(path, title string, res *triosim.Result) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	// Match a timeline interval to a critical step by label and (tolerant)
-	// start/end: the two views are recorded independently but from the same
-	// virtual times.
-	type window struct{ start, end float64 }
-	steps := map[string][]window{}
-	for _, st := range cp.Steps {
-		steps[st.Name] = append(steps[st.Name], window{st.StartSec, st.EndSec})
+	if err := res.Spans.WriteHTML(f, title, res.CriticalPath); err != nil {
+		f.Close()
+		return err
 	}
-	eps := 1e-9 * math.Max(1, cp.MakespanSec)
-	critical := func(iv *timeline.Interval) bool {
-		for _, w := range steps[iv.Label] {
-			if math.Abs(iv.Start.Seconds()-w.start) <= eps &&
-				math.Abs(iv.End.Seconds()-w.end) <= eps {
-				return true
-			}
-		}
-		return false
-	}
-	pct := func(v float64) float64 {
-		if cp.LengthSec <= 0 {
-			return 0
-		}
-		return 100 * v / cp.LengthSec
-	}
-	summary := []string{
-		fmt.Sprintf("critical path: %d steps over %.6gs — compute %.1f%%, comm %.1f%%, idle %.1f%%, fault-stretch %.1f%%, other %.1f%%",
-			len(cp.Steps), cp.LengthSec,
-			pct(cp.Attribution.ComputeSec), pct(cp.Attribution.CommSec),
-			pct(cp.Attribution.IdleSec), pct(cp.Attribution.FaultStretchSec),
-			pct(cp.Attribution.HostLoadSec+cp.Attribution.OtherSec)),
-	}
-	for i, s := range cp.Slack {
-		if i >= 3 {
-			break
-		}
-		summary = append(summary, fmt.Sprintf(
-			"near-critical: %s on %s — slack %.6gs", s.Name, s.Track,
-			s.SlackSec))
-	}
-	return critical, summary
+	return f.Close()
 }
 
 func gb(b int64) float64 { return float64(b) / (1 << 30) }

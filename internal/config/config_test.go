@@ -219,4 +219,18 @@ func TestRejections(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "BucketBytes") {
 		t.Fatalf("bucket_mb -1: %v, want an error naming BucketBytes", err)
 	}
+	// Likewise a negative global_batch names GlobalBatch instead of failing
+	// deep in the graph with "negative bytes".
+	spec, err = Load(writeSpec(t, `{"model": "resnet18", "platform": "P2",
+		"parallelism": "ddp", "trace_batch": 32, "global_batch": -5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err = spec.ToCore()
+	if err == nil {
+		_, err = core.Simulate(cfg)
+	}
+	if err == nil || !strings.Contains(err.Error(), "GlobalBatch") {
+		t.Fatalf("global_batch -5: %v, want an error naming GlobalBatch", err)
+	}
 }

@@ -170,9 +170,20 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.Parallelism == "" {
 		out.Parallelism = Single
 	}
-	if out.Iterations < 0 {
-		return out, fmt.Errorf("core: Iterations must be >= 0, got %d",
-			out.Iterations)
+	// Zero selects each count's default; a negative one would silently mean
+	// the same or fail deep in graph construction, so it is rejected here.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Iterations", out.Iterations}, {"GlobalBatch", out.GlobalBatch},
+		{"MicroBatches", out.MicroBatches}, {"DPGroups", out.DPGroups},
+		{"TPRanks", out.TPRanks}, {"PPStages", out.PPStages},
+	} {
+		if f.v < 0 {
+			return out, fmt.Errorf("core: %s must be >= 0, got %d",
+				f.name, f.v)
+		}
 	}
 	if out.Iterations == 0 {
 		out.Iterations = 1
@@ -199,8 +210,6 @@ type Result struct {
 	CommTime sim.VTime
 	// HostLoadTime is the union time of host→GPU input staging.
 	HostLoadTime sim.VTime
-	// Timeline holds every recorded interval for deeper analysis.
-	Timeline *timeline.Timeline
 	// Tasks is the extrapolated graph size.
 	Tasks int
 	// Events is the number of engine events dispatched.
@@ -217,7 +226,8 @@ type Result struct {
 	// Config.Telemetry or Config.Metrics enabled collection).
 	Report *telemetry.RunReport
 	// Spans is the virtual-time span log (nil unless Config.SpanTrace).
-	// Export with Spans.WriteChromeTrace for Perfetto / chrome://tracing.
+	// Export with Spans.WriteChromeTrace for Perfetto / chrome://tracing,
+	// or Spans.WriteHTML for the HTML timeline viewer.
 	Spans *spantrace.Log
 	// CriticalPath is the makespan-setting chain extracted from Spans with
 	// per-category attribution and a near-critical slack table (nil unless
@@ -397,7 +407,6 @@ func execute(cfg Config, tr *trace.Trace, timer extrapolator.OpTimer,
 	if err := h.attach(workload{
 		graph:       res.Graph,
 		collectives: collLog,
-		timeline:    tl,
 		observe:     x.Observe,
 		stretch:     &x.Stretch,
 	}); err != nil {
@@ -416,7 +425,6 @@ func execute(cfg Config, tr *trace.Trace, timer extrapolator.OpTimer,
 		ComputeTime:  tl.UnionTime(timeline.ByPhase("compute")),
 		CommTime:     tl.UnionTime(timeline.ByPhase("comm")),
 		HostLoadTime: tl.UnionTime(timeline.ByPhase("hostload")),
-		Timeline:     tl,
 		Tasks:        res.Graph.Len(),
 	}
 	numGPUs := cfg.NumGPUs

@@ -223,6 +223,22 @@ func TestConfigErrors(t *testing.T) {
 		t.Fatalf("negative iterations: %v, want an error naming Iterations",
 			err)
 	}
+	for _, c := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"GlobalBatch", Config{GlobalBatch: -5}},
+		{"MicroBatches", Config{Parallelism: PP, MicroBatches: -2}},
+		{"DPGroups", Config{Parallelism: DPPP, DPGroups: -2}},
+		{"TPRanks", Config{Parallelism: DPTPPP, TPRanks: -1}},
+		{"PPStages", Config{Parallelism: DPTPPP, PPStages: -1}},
+	} {
+		c.cfg.Model, c.cfg.Platform = "resnet18", p1()
+		if _, err := Simulate(c.cfg); err == nil ||
+			!strings.Contains(err.Error(), c.field) {
+			t.Fatalf("negative %s: %v, want an error naming it", c.field, err)
+		}
+	}
 	if _, err := Simulate(Config{Model: "resnet18", Platform: p1(),
 		BucketBytes: -1}); err == nil ||
 		!strings.Contains(err.Error(), "BucketBytes") {

@@ -11,7 +11,6 @@ import (
 	"triosim/internal/spantrace"
 	"triosim/internal/task"
 	"triosim/internal/telemetry"
-	"triosim/internal/timeline"
 )
 
 // runOpts are the observability and control settings training (Config) and
@@ -35,8 +34,6 @@ type workload struct {
 	// collectives feeds the collector's per-collective accounting (nil for
 	// serving).
 	collectives *telemetry.CollectiveLog
-	// timeline receives fault-window and failure markers (nil for serving).
-	timeline *timeline.Timeline
 	// observe registers a task observer with the workload.
 	observe func(task.Observer)
 	// stretch is the workload's compute-stretch hook, set to the fault
@@ -104,11 +101,13 @@ func (h *harness) attach(w workload) error {
 		// schedule arms nothing and the run stays digest-identical.
 		*w.stretch = inj.Factor
 		inj.Arm()
-		for _, fw := range inj.Windows() {
-			h.markFault(w.timeline, fw.Label(), fw.Start, fw.End)
-		}
-		for _, f := range inj.Failures() {
-			h.markFault(w.timeline, faults.FailLabel(f), f.At, f.At)
+		if h.rec != nil {
+			for _, fw := range inj.Windows() {
+				h.rec.AddFault(fw.Label(), fw.Start, fw.End)
+			}
+			for _, f := range inj.Failures() {
+				h.rec.AddFault(faults.FailLabel(f), f.At, f.At)
+			}
 		}
 	}
 	if h.opts.telemetry || h.opts.metrics != nil {
@@ -150,19 +149,6 @@ func (h *harness) attach(w workload) error {
 		}))
 	}
 	return nil
-}
-
-// markFault records a fault window (or a failure instant, start == end) on
-// the timeline and the span recorder, whichever are present.
-func (h *harness) markFault(tl *timeline.Timeline, label string,
-	start, end sim.VTime) {
-
-	if tl != nil {
-		tl.Add(faults.TimelineResource, label, "fault", start, end)
-	}
-	if h.rec != nil {
-		h.rec.AddFault(label, start, end)
-	}
 }
 
 // run drives the workload to completion. When the context poll terminated

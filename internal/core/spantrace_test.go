@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"testing"
 
 	"triosim/internal/faults"
 	"triosim/internal/gpu"
+	"triosim/internal/sim"
 	"triosim/internal/spantrace"
 )
 
@@ -167,5 +171,46 @@ func TestSpanTraceChromeExport(t *testing.T) {
 	}
 	if err := spantrace.ValidateChromeTrace(data); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// timelineHTMLSHA256 is the SHA-256 of the un-highlighted HTML viewer for
+// faultedDDPConfig. It was captured from the interval-timeline exporter the
+// span-log viewer replaced, so the viewer's layout, breakdown table and
+// fault lane are pinned byte for byte.
+const timelineHTMLSHA256 = "ac596a22de1c26b9de3d1be729933d7f4061a8ff3ce85a1b15d5b2d0fc9983e7"
+
+// faultedDDPConfig is resnet18 DDP on P2 with a straggler window, a
+// degraded link, and a GPU failure marker.
+func faultedDDPConfig() Config {
+	return Config{
+		Model: "resnet18", Platform: p2(), Parallelism: DDP,
+		TraceBatch: 32, SpanTrace: true,
+		Faults: &faults.Schedule{
+			Events: []faults.Event{
+				{Kind: faults.GPUSlowdown, GPU: 1, Factor: 2,
+					Start: sim.MSec / 2, Duration: 2 * sim.MSec},
+				{Kind: faults.LinkDegrade, Link: 0, Factor: 4,
+					Start: sim.MSec, Duration: 3 * sim.MSec},
+				{Kind: faults.GPUFail, GPU: 0, Start: 3 * sim.MSec},
+			},
+			Checkpoint: &faults.Checkpoint{
+				Interval: 2 * sim.MSec, Restart: sim.MSec / 2,
+			},
+		},
+	}
+}
+
+func TestTimelineHTMLPinned(t *testing.T) {
+	res, err := Simulate(faultedDDPConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := res.Spans.WriteHTML(&buf, "resnet18 · P2 · ddp", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != timelineHTMLSHA256 {
+		t.Fatalf("timeline HTML sha256 = %s, want %s", got, timelineHTMLSHA256)
 	}
 }

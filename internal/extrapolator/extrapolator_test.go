@@ -11,6 +11,7 @@ import (
 	"triosim/internal/network"
 	"triosim/internal/perfmodel"
 	"triosim/internal/sim"
+	"triosim/internal/spantrace"
 	"triosim/internal/task"
 	"triosim/internal/timeline"
 	"triosim/internal/trace"
@@ -38,18 +39,34 @@ func testSetup(t *testing.T, model string, batch, nGPUs int) (*trace.Trace,
 	return tr, m, topo
 }
 
-// runCfg executes the result graph and returns makespan and timeline.
+// runCfg executes the result graph and returns the makespan, the span log
+// and the flow network.
 func runCfg(t *testing.T, cfg Config, res *Result) (sim.VTime,
-	*timeline.Timeline, *network.FlowNetwork) {
+	*spantrace.Log, *network.FlowNetwork) {
 	t.Helper()
 	eng := sim.NewSerialEngine()
 	net := network.NewFlowNetwork(eng, cfg.Topo)
-	tl := timeline.New()
-	makespan, err := task.NewExecutor(eng, net, res.Graph, tl).Run()
+	x := task.NewExecutor(eng, net, res.Graph, timeline.New())
+	rec := spantrace.NewRecorder(res.Graph, cfg.Topo)
+	x.Observe(rec)
+	makespan, err := x.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return makespan, tl, net
+	return makespan, rec.Finalize(), net
+}
+
+// computeTime sums the durations of the compute spans on the named GPU
+// track, or on every GPU when gpu is "".
+func computeTime(l *spantrace.Log, gpu string) sim.VTime {
+	var total sim.VTime
+	for i := range l.Spans {
+		sp := &l.Spans[i]
+		if sp.Cat == spantrace.Compute && (gpu == "" || l.Name(sp.Track) == gpu) {
+			total += sp.Duration()
+		}
+	}
+	return total
 }
 
 func TestSingleGPUReplayMatchesTrace(t *testing.T) {
@@ -62,9 +79,9 @@ func TestSingleGPUReplayMatchesTrace(t *testing.T) {
 	if err := res.Graph.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	makespan, tl, _ := runCfg(t, cfg.defaults(), res)
+	makespan, spans, _ := runCfg(t, cfg.defaults(), res)
 	// Replay (scale=1, passthrough) compute time equals the trace total.
-	compute := tl.SumTime(timeline.ByPhase("compute"))
+	compute := computeTime(spans, "")
 	if math.Abs(float64(compute-tr.TotalTime()))/float64(tr.TotalTime()) > 1e-9 {
 		t.Fatalf("replayed compute %v != trace total %v",
 			compute, tr.TotalTime())
@@ -106,14 +123,13 @@ func TestDataParallelStructure(t *testing.T) {
 	if err := res.Graph.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	makespan, tl, net := runCfg(t, cfg.defaults(), res)
+	makespan, spans, net := runCfg(t, cfg.defaults(), res)
 	if makespan <= 0 {
 		t.Fatal("zero makespan")
 	}
 	// All 4 GPUs computed.
 	for i := 0; i < 4; i++ {
-		res := timeline.ByResource("gpu" + string(rune('0'+i)))
-		if tl.UnionTime(res) <= 0 {
+		if computeTime(spans, "gpu"+string(rune('0'+i))) <= 0 {
 			t.Fatalf("gpu%d idle", i)
 		}
 	}
@@ -231,7 +247,7 @@ func TestTensorParallelStructure(t *testing.T) {
 	if err := res.Graph.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	makespan, tl, net := runCfg(t, cfg.defaults(), res)
+	makespan, spans, net := runCfg(t, cfg.defaults(), res)
 	if makespan <= 0 {
 		t.Fatal("zero makespan")
 	}
@@ -240,11 +256,9 @@ func TestTensorParallelStructure(t *testing.T) {
 	}
 	// Per-GPU compute must shrink vs the single-GPU replay (shards).
 	single, _ := SingleGPU(Config{Trace: tr, Topo: topo, NumGPUs: 1, Timer: m})
-	_, tlS, _ := runCfg(t, cfg.defaults(), single)
-	tpGPU0 := tl.SumTime(timeline.And(
-		timeline.ByResource("gpu0"), timeline.ByPhase("compute")))
-	soloGPU0 := tlS.SumTime(timeline.And(
-		timeline.ByResource("gpu0"), timeline.ByPhase("compute")))
+	_, spansS, _ := runCfg(t, cfg.defaults(), single)
+	tpGPU0 := computeTime(spans, "gpu0")
+	soloGPU0 := computeTime(spansS, "gpu0")
 	if tpGPU0 >= soloGPU0 {
 		t.Fatalf("TP gpu0 compute %v not below single-GPU %v",
 			tpGPU0, soloGPU0)

@@ -5,7 +5,6 @@ import (
 
 	"triosim/internal/sim"
 	"triosim/internal/task"
-	"triosim/internal/timeline"
 )
 
 func TestHybridDPPPStructure(t *testing.T) {
@@ -19,13 +18,13 @@ func TestHybridDPPPStructure(t *testing.T) {
 	if err := res.Graph.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	makespan, tl, net := runCfg(t, cfg.defaults(), res)
+	makespan, spans, net := runCfg(t, cfg.defaults(), res)
 	if makespan <= 0 {
 		t.Fatal("zero makespan")
 	}
 	// All 4 GPUs work.
 	for i := 0; i < 4; i++ {
-		if tl.UnionTime(timeline.ByResource("gpu"+string(rune('0'+i)))) <= 0 {
+		if computeTime(spans, "gpu"+string(rune('0'+i))) <= 0 {
 			t.Fatalf("gpu%d idle", i)
 		}
 	}
@@ -81,12 +80,12 @@ func TestHybridDPTPStructure(t *testing.T) {
 	if err := res.Graph.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	makespan, tl, _ := runCfg(t, cfg.defaults(), res)
+	makespan, spans, _ := runCfg(t, cfg.defaults(), res)
 	if makespan <= 0 {
 		t.Fatal("zero makespan")
 	}
 	for i := 0; i < 4; i++ {
-		if tl.UnionTime(timeline.ByResource("gpu"+string(rune('0'+i)))) <= 0 {
+		if computeTime(spans, "gpu"+string(rune('0'+i))) <= 0 {
 			t.Fatalf("gpu%d idle", i)
 		}
 	}

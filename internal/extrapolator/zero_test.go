@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"triosim/internal/task"
-	"triosim/internal/timeline"
 )
 
 func TestZeROStructure(t *testing.T) {
@@ -17,7 +16,7 @@ func TestZeROStructure(t *testing.T) {
 	if err := res.Graph.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	makespan, tl, net := runCfg(t, cfg.defaults(), res)
+	makespan, _, net := runCfg(t, cfg.defaults(), res)
 	if makespan <= 0 {
 		t.Fatal("zero makespan")
 	}
@@ -29,7 +28,6 @@ func TestZeROStructure(t *testing.T) {
 	if rel := got/wantComm - 1; rel > 1e-9 || rel < -1e-9 {
 		t.Fatalf("ZeRO traffic %g, want %g", got, wantComm)
 	}
-	_ = tl
 }
 
 func TestZeROShardsOptimizer(t *testing.T) {
@@ -82,5 +80,4 @@ func TestZeROForwardOnly(t *testing.T) {
 	if ms <= 0 {
 		t.Fatal("no time")
 	}
-	_ = timeline.New()
 }

@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"triosim/internal/sim"
+	"triosim/internal/timeline"
 )
 
 // Kind names a fault event type.
@@ -317,32 +318,12 @@ func (s *Schedule) Failures() []Failure {
 // [0, clamp] (the run's makespan) — the "some hardware was degraded" time
 // telemetry reports. Overlapping windows on different resources count once.
 func DegradedSeconds(ws []Window, clamp sim.VTime) float64 {
-	spans := make([]Window, 0, len(ws))
+	segs := make([]timeline.Seg, 0, len(ws))
 	for _, w := range ws {
-		start, end := w.Start, w.End.Min(clamp)
-		if !start.Before(end) {
-			continue
+		if start, end := w.Start, w.End.Min(clamp); start.Before(end) {
+			segs = append(segs,
+				timeline.Seg{S: float64(start), E: float64(end)})
 		}
-		spans = append(spans, Window{Start: start, End: end})
 	}
-	sort.Slice(spans, func(i, j int) bool {
-		return spans[i].Start.Before(spans[j].Start)
-	})
-	var total float64
-	var curStart, curEnd sim.VTime
-	open := false
-	for _, s := range spans {
-		if open && s.Start.AtOrBefore(curEnd) {
-			curEnd = curEnd.Max(s.End)
-			continue
-		}
-		if open {
-			total += float64(curEnd - curStart)
-		}
-		curStart, curEnd, open = s.Start, s.End, true
-	}
-	if open {
-		total += float64(curEnd - curStart)
-	}
-	return total
+	return timeline.Length(timeline.Union(segs))
 }

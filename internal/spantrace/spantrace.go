@@ -8,8 +8,10 @@
 // replay digest) is byte-identical with or without it. core's regression test
 // pins that identity.
 //
-// The completed Log supports critical-path extraction (critpath.go) and
-// Chrome trace-event export for Perfetto / chrome://tracing (chrome.go).
+// The completed Log supports critical-path extraction (critpath.go),
+// Chrome trace-event export for Perfetto / chrome://tracing (chrome.go), and
+// the per-lane breakdown and HTML timeline viewer (html.go). It is the only
+// store of labelled task intervals.
 package spantrace
 
 import (
@@ -327,7 +329,6 @@ func (r *Recorder) gpuTrackSlow(gpu int) int32 {
 }
 
 func gpuName(gpu int) string {
-	// Matches the executor's timeline lane names.
 	return "gpu" + itoa(gpu)
 }
 

@@ -34,7 +34,8 @@ func (os Observers) TaskDone(t *Task, start, end sim.VTime) {
 // Executor runs a task graph on the event engine: compute tasks occupy their
 // GPU's compute stream serially (in ready order), communication tasks go to
 // the network model (which shares bandwidth among concurrent transfers), and
-// barriers resolve instantly. It records every activity on a timeline.
+// barriers resolve instantly. It records each compute, communication and
+// host-staging interval on a phase timeline.
 type Executor struct {
 	eng   sim.Engine
 	net   network.Network
@@ -64,13 +65,11 @@ type Executor struct {
 }
 
 // laneState is one GPU's compute stream: a head-indexed FIFO whose backing
-// array is reused once drained, plus the busy flag and the cached timeline
-// lane name (formerly a fmt.Sprintf per task completion).
+// array is reused once drained, plus the busy flag.
 type laneState struct {
 	queue []*Task
 	head  int
 	busy  bool
-	name  string
 }
 
 // doneRec is a pooled completion record: it replaces the per-task closures
@@ -86,7 +85,7 @@ type doneRec struct {
 	gpu   int
 	start sim.VTime
 	delay bool
-	phase string
+	phase timeline.Phase
 
 	onTimer func(now sim.VTime) error
 	onComm  func(end sim.VTime)
@@ -119,11 +118,7 @@ func (x *Executor) lane(gpu int) *laneState {
 	for gpu >= len(x.lanes) {
 		x.lanes = append(x.lanes, laneState{})
 	}
-	l := &x.lanes[gpu]
-	if l.name == "" {
-		l.name = fmt.Sprintf("gpu%d", gpu)
-	}
-	return l
+	return &x.lanes[gpu]
 }
 
 // getRec pops a recycled completion record (or allocates the pool's next).
@@ -145,7 +140,6 @@ func (x *Executor) getRec() *doneRec {
 // started later in the same completion.
 func (x *Executor) putRec(r *doneRec) {
 	r.t = nil
-	r.phase = ""
 	x.free = append(x.free, r)
 }
 
@@ -198,9 +192,9 @@ func (x *Executor) ready(t *Task, now sim.VTime) {
 			x.startNextCompute(t.GPU, now)
 		}
 	case Comm, HostLoad:
-		phase := "comm"
+		phase := timeline.Comm
 		if t.Kind == HostLoad {
-			phase = "hostload"
+			phase = timeline.HostLoad
 		}
 		r := x.getRec()
 		r.t, r.start, r.phase = t, now, phase
@@ -249,7 +243,7 @@ func (r *doneRec) timerDone(done sim.VTime) error {
 		x.complete(t, done)
 		return nil
 	}
-	x.tl.Add(x.lane(gpu).name, t.Label, "compute", start, done)
+	x.tl.Add(timeline.Compute, start, done)
 	x.notify(t, start, done)
 	x.lane(gpu).busy = false
 	x.complete(t, done)
@@ -262,7 +256,7 @@ func (r *doneRec) timerDone(done sim.VTime) error {
 func (r *doneRec) commDone(end sim.VTime) {
 	x, t, start, phase := r.x, r.t, r.start, r.phase
 	x.putRec(r)
-	x.tl.Add("net", t.Label, phase, start, end)
+	x.tl.Add(phase, start, end)
 	x.notify(t, start, end)
 	x.complete(t, end)
 }

@@ -115,19 +115,38 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// runGraph executes g on a serial engine with an ideal network.
+// gpuLog is a test observer collecting each GPU's compute intervals.
+type gpuLog map[int][]timeline.Seg
+
+func (l gpuLog) TaskDone(t *Task, start, end sim.VTime) {
+	if t.Kind == Compute {
+		l[t.GPU] = append(l[t.GPU],
+			timeline.Seg{S: float64(start), E: float64(end)})
+	}
+}
+
+// busy returns the union of gpu's compute intervals.
+func (l gpuLog) busy(gpu int) sim.VTime {
+	segs := append([]timeline.Seg(nil), l[gpu]...)
+	return sim.VTime(timeline.Length(timeline.Union(segs)))
+}
+
+// runGraph executes g on a serial engine with an ideal network, returning
+// the makespan, the phase timeline and the per-GPU compute intervals.
 func runGraph(t *testing.T, g *Graph, bw float64,
-	lat sim.VTime) (sim.VTime, *timeline.Timeline) {
+	lat sim.VTime) (sim.VTime, *timeline.Timeline, gpuLog) {
 	t.Helper()
 	eng := sim.NewSerialEngine()
 	net := network.NewIdealNetwork(eng, bw, lat)
 	tl := timeline.New()
 	x := NewExecutor(eng, net, g, tl)
+	gl := gpuLog{}
+	x.Observe(gl)
 	makespan, err := x.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return makespan, tl
+	return makespan, tl, gl
 }
 
 func TestExecutorSerializesPerGPU(t *testing.T) {
@@ -135,15 +154,15 @@ func TestExecutorSerializesPerGPU(t *testing.T) {
 	g.AddCompute(0, 2, "a")
 	g.AddCompute(0, 3, "b")
 	g.AddCompute(1, 4, "c")
-	makespan, tl := runGraph(t, g, 1e9, 0)
+	makespan, _, gl := runGraph(t, g, 1e9, 0)
 	// GPU0 runs a then b (5); GPU1 runs c (4) concurrently.
 	if makespan != 5 {
 		t.Fatalf("makespan = %v, want 5", makespan)
 	}
-	if busy := tl.UnionTime(timeline.ByResource("gpu0")); busy != 5 {
+	if busy := gl.busy(0); busy != 5 {
 		t.Fatalf("gpu0 busy = %v", busy)
 	}
-	if busy := tl.UnionTime(timeline.ByResource("gpu1")); busy != 4 {
+	if busy := gl.busy(1); busy != 4 {
 		t.Fatalf("gpu1 busy = %v", busy)
 	}
 }
@@ -153,7 +172,7 @@ func TestExecutorHonorsDeps(t *testing.T) {
 	a := g.AddCompute(0, 2, "a")
 	b := g.AddCompute(1, 3, "b")
 	g.AddDep(a, b) // b waits for a even though on another GPU
-	makespan, _ := runGraph(t, g, 1e9, 0)
+	makespan, _, _ := runGraph(t, g, 1e9, 0)
 	if makespan != 5 {
 		t.Fatalf("makespan = %v, want 5", makespan)
 	}
@@ -166,7 +185,7 @@ func TestExecutorCommPath(t *testing.T) {
 	b := g.AddCompute(1, 1, "b")
 	g.AddDep(a, c)
 	g.AddDep(c, b)
-	makespan, tl := runGraph(t, g, 1e9, 0)
+	makespan, tl, _ := runGraph(t, g, 1e9, 0)
 	if makespan != 4 {
 		t.Fatalf("makespan = %v, want 4", makespan)
 	}
@@ -182,7 +201,7 @@ func TestExecutorBarrierInstant(t *testing.T) {
 	b := g.AddCompute(1, 1, "b")
 	g.AddDep(a, bar)
 	g.AddDep(bar, b)
-	makespan, _ := runGraph(t, g, 1e9, 0)
+	makespan, _, _ := runGraph(t, g, 1e9, 0)
 	if makespan != 2 {
 		t.Fatalf("makespan = %v, want 2", makespan)
 	}
@@ -193,7 +212,7 @@ func TestExecutorHostLoadPhase(t *testing.T) {
 	h := g.AddHostLoad(9, 0, 1e9, "stage-input")
 	c := g.AddCompute(0, 1, "fwd")
 	g.AddDep(h, c)
-	makespan, tl := runGraph(t, g, 1e9, 0)
+	makespan, tl, _ := runGraph(t, g, 1e9, 0)
 	if makespan != 2 {
 		t.Fatalf("makespan = %v, want 2", makespan)
 	}
@@ -218,7 +237,7 @@ func TestExecutorRejectsCyclicGraph(t *testing.T) {
 
 func TestExecutorEmptyGraph(t *testing.T) {
 	g := NewGraph()
-	makespan, _ := runGraph(t, g, 1e9, 0)
+	makespan, _, _ := runGraph(t, g, 1e9, 0)
 	if makespan != 0 {
 		t.Fatalf("empty graph makespan = %v", makespan)
 	}
@@ -244,7 +263,7 @@ func TestExecutorRandomDAGsProperty(t *testing.T) {
 				}
 			}
 		}
-		makespan, tl := runGraph(t, g, 1e9, 0)
+		makespan, tl, _ := runGraph(t, g, 1e9, 0)
 		cp := g.CriticalPathLength()
 		if makespan < cp || makespan > serial {
 			t.Fatalf("trial %d: makespan %v outside [%v, %v]",
@@ -252,7 +271,7 @@ func TestExecutorRandomDAGsProperty(t *testing.T) {
 		}
 		var runs int
 		for i := range tl.Intervals {
-			if tl.Intervals[i].Phase == "compute" {
+			if tl.Intervals[i].Phase == timeline.Compute {
 				runs++
 			}
 		}
@@ -272,13 +291,12 @@ func TestExecutorNoComputeOverlapProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			g.AddCompute(rng.Intn(2), sim.VTime(1+rng.Intn(5)), "t")
 		}
-		_, tl := runGraph(t, g, 1e9, 0)
-		for _, res := range tl.Resources() {
-			sum := tl.SumTime(timeline.ByResource(res))
-			union := tl.UnionTime(timeline.ByResource(res))
-			if sum != union {
-				t.Fatalf("trial %d: %s has overlapping compute: sum %v, union %v",
-					trial, res, sum, union)
+		_, _, gl := runGraph(t, g, 1e9, 0)
+		for gpu, segs := range gl {
+			sum := sim.VTime(timeline.Length(segs))
+			if union := gl.busy(gpu); sum != union {
+				t.Fatalf("trial %d: gpu%d has overlapping compute: sum %v, union %v",
+					trial, gpu, sum, union)
 			}
 		}
 	}

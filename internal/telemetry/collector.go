@@ -9,6 +9,7 @@ import (
 	"triosim/internal/network"
 	"triosim/internal/sim"
 	"triosim/internal/task"
+	"triosim/internal/timeline"
 )
 
 // CollectiveEntry is the generation-time metadata of one collective instance
@@ -57,74 +58,6 @@ func (l *CollectiveLog) Get(label string) *CollectiveEntry {
 	return l.entries[label]
 }
 
-// span is a half-open [s, e) interval in seconds; the collector's interval
-// algebra works on plain float64 so virtual-time comparison rules stay inside
-// internal/sim.
-type span struct{ s, e float64 }
-
-// unionSpans merges overlapping/adjacent spans into a sorted disjoint set.
-func unionSpans(in []span) []span {
-	if len(in) == 0 {
-		return nil
-	}
-	sort.Slice(in, func(i, j int) bool {
-		if in[i].s != in[j].s {
-			return in[i].s < in[j].s
-		}
-		return in[i].e < in[j].e
-	})
-	out := []span{in[0]}
-	for _, sp := range in[1:] {
-		last := &out[len(out)-1]
-		if sp.s <= last.e {
-			if sp.e > last.e {
-				last.e = sp.e
-			}
-			continue
-		}
-		out = append(out, sp)
-	}
-	return out
-}
-
-// spansLen sums a disjoint span set's total length.
-func spansLen(in []span) float64 {
-	var total float64
-	for _, sp := range in {
-		total += sp.e - sp.s
-	}
-	return total
-}
-
-// subtractSpans returns a minus b; both must be sorted disjoint sets.
-func subtractSpans(a, b []span) []span {
-	var out []span
-	j := 0
-	for _, sp := range a {
-		cur := sp
-		for j < len(b) && b[j].e <= cur.s {
-			j++
-		}
-		k := j
-		for k < len(b) && b[k].s < cur.e {
-			if b[k].s > cur.s {
-				out = append(out, span{cur.s, b[k].s})
-			}
-			if b[k].e > cur.s {
-				cur.s = b[k].e
-			}
-			if cur.s >= cur.e {
-				break
-			}
-			k++
-		}
-		if cur.s < cur.e {
-			out = append(out, cur)
-		}
-	}
-	return out
-}
-
 // collAgg accumulates the runtime side of one collective instance.
 type collAgg struct {
 	moved      float64
@@ -149,9 +82,9 @@ type Collector struct {
 	gpuIndex map[network.NodeID]int
 	nGPUs    int
 
-	computeIvl   map[int][]span
-	commIvl      map[int][]span
-	hostIvl      map[int][]span
+	computeIvl   map[int][]timeline.Seg
+	commIvl      map[int][]timeline.Seg
+	hostIvl      map[int][]timeline.Seg
 	computeTasks map[int]int
 
 	linkBytes map[string]float64
@@ -178,9 +111,9 @@ func NewCollector(reg *Registry, topo *network.Topology,
 		topo:         topo,
 		log:          log,
 		gpuIndex:     map[network.NodeID]int{},
-		computeIvl:   map[int][]span{},
-		commIvl:      map[int][]span{},
-		hostIvl:      map[int][]span{},
+		computeIvl:   map[int][]timeline.Seg{},
+		commIvl:      map[int][]timeline.Seg{},
+		hostIvl:      map[int][]timeline.Seg{},
 		computeTasks: map[int]int{},
 		linkBytes:    map[string]float64{},
 		linkFlows:    map[string]int{},
@@ -208,7 +141,7 @@ func (c *Collector) TaskDone(t *task.Task, start, end sim.VTime) {
 	switch t.Kind {
 	case task.Compute:
 		g := t.GPU
-		c.computeIvl[g] = append(c.computeIvl[g], span{s, e})
+		c.computeIvl[g] = append(c.computeIvl[g], timeline.Seg{S: s, E: e})
 		c.computeTasks[g]++
 		c.reg.Counter("triosim_gpu_compute_seconds_total", "gpu",
 			fmt.Sprintf("gpu%d", g),
@@ -220,7 +153,7 @@ func (c *Collector) TaskDone(t *task.Task, start, end sim.VTime) {
 	case task.Comm:
 		for _, nid := range []network.NodeID{t.Src, t.Dst} {
 			if g, ok := c.gpuIndex[nid]; ok {
-				c.commIvl[g] = append(c.commIvl[g], span{s, e})
+				c.commIvl[g] = append(c.commIvl[g], timeline.Seg{S: s, E: e})
 			}
 			if t.Src == t.Dst {
 				break // local transfer: attribute once
@@ -231,7 +164,7 @@ func (c *Collector) TaskDone(t *task.Task, start, end sim.VTime) {
 		}
 	case task.HostLoad:
 		if g, ok := c.gpuIndex[t.Dst]; ok {
-			c.hostIvl[g] = append(c.hostIvl[g], span{s, e})
+			c.hostIvl[g] = append(c.hostIvl[g], timeline.Seg{S: s, E: e})
 		}
 	}
 }
@@ -404,13 +337,14 @@ func (c *Collector) Finalize(info RunInfo) *RunReport {
 	// only where it is not hidden under compute; host staging only where
 	// neither compute nor comm runs; idle is the exact remainder.
 	for g := 0; g < info.NumGPUs; g++ {
-		compute := unionSpans(c.computeIvl[g])
-		comm := unionSpans(c.commIvl[g])
-		host := unionSpans(c.hostIvl[g])
-		busy := spansLen(compute)
-		exposedComm := spansLen(subtractSpans(comm, compute))
-		notIdle := unionSpans(append(append([]span{}, compute...), comm...))
-		exposedHost := spansLen(subtractSpans(host, notIdle))
+		compute := timeline.Union(c.computeIvl[g])
+		comm := timeline.Union(c.commIvl[g])
+		host := timeline.Union(c.hostIvl[g])
+		busy := timeline.Length(compute)
+		exposedComm := timeline.Length(timeline.Subtract(comm, compute))
+		notIdle := timeline.Union(
+			append(append([]timeline.Seg{}, compute...), comm...))
+		exposedHost := timeline.Length(timeline.Subtract(host, notIdle))
 		idle := total - busy - exposedComm - exposedHost
 		rep.GPUs = append(rep.GPUs, GPUStat{
 			GPU:            g,

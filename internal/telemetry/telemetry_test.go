@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"triosim/internal/timeline"
 )
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -135,19 +137,23 @@ func TestOpCategory(t *testing.T) {
 	}
 }
 
+// TestSpanAlgebra pins the interval algebra the collector's per-GPU
+// partition runs on.
 func TestSpanAlgebra(t *testing.T) {
-	u := unionSpans([]span{{5, 7}, {1, 3}, {2, 4}})
-	if len(u) != 2 || u[0] != (span{1, 4}) || u[1] != (span{5, 7}) {
+	u := timeline.Union([]timeline.Seg{{S: 5, E: 7}, {S: 1, E: 3}, {S: 2, E: 4}})
+	if len(u) != 2 || u[0] != (timeline.Seg{S: 1, E: 4}) ||
+		u[1] != (timeline.Seg{S: 5, E: 7}) {
 		t.Fatalf("union = %v", u)
 	}
-	if got := spansLen(u); got != 5 {
+	if got := timeline.Length(u); got != 5 {
 		t.Fatalf("len = %v", got)
 	}
-	d := subtractSpans(u, []span{{2, 6}})
-	if len(d) != 2 || d[0] != (span{1, 2}) || d[1] != (span{6, 7}) {
+	d := timeline.Subtract(u, []timeline.Seg{{S: 2, E: 6}})
+	if len(d) != 2 || d[0] != (timeline.Seg{S: 1, E: 2}) ||
+		d[1] != (timeline.Seg{S: 6, E: 7}) {
 		t.Fatalf("subtract = %v", d)
 	}
-	if got := subtractSpans([]span{{0, 10}}, u); spansLen(got) != 5 {
+	if got := timeline.Subtract([]timeline.Seg{{S: 0, E: 10}}, u); timeline.Length(got) != 5 {
 		t.Fatalf("complement = %v", got)
 	}
 }

@@ -1,31 +1,44 @@
-// Package timeline records execution intervals produced by the simulator:
-// which resource (GPU compute stream, network) was doing what, from when to
-// when. It backs TrioSim's outputs beyond the total time: the per-layer and
-// per-stage communication/computation breakdown and the HTML timeline
-// viewer.
+// Package timeline accumulates a run's per-phase activity — when a GPU
+// computed, a transfer was in flight, or input was being staged — for the
+// union times behind Result.ComputeTime, CommTime and HostLoadTime. It also
+// holds the one interval algebra (Union, Subtract, Length) that the span
+// log's breakdown and the telemetry collector share. Labelled per-task
+// intervals live in internal/spantrace.
 package timeline
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
 	"triosim/internal/sim"
 )
 
-// Interval is one recorded activity.
-type Interval struct {
-	// Resource identifies the executing resource, e.g. "gpu0" or "net".
-	Resource string
-	// Label describes the activity, e.g. "conv2d" or "allreduce-step3".
-	Label string
-	// Phase groups activities for breakdowns: "compute", "comm", "hostload".
-	Phase string
-	Start sim.VTime
-	End   sim.VTime
+// Phase classifies an interval for the union times.
+type Phase uint8
+
+// Recorded phases.
+const (
+	Compute Phase = iota
+	Comm
+	HostLoad
+)
+
+var phaseNames = [...]string{"compute", "comm", "hostload"}
+
+// String returns the phase name.
+func (p Phase) String() string {
+	if int(p) < len(phaseNames) {
+		return phaseNames[p]
+	}
+	return "unknown"
 }
 
-// Duration returns End-Start.
-func (iv *Interval) Duration() sim.VTime { return iv.End - iv.Start }
+// Interval is one recorded activity. It holds no pointers, so the log is
+// never scanned by the garbage collector.
+type Interval struct {
+	Phase      Phase
+	Start, End sim.VTime
+}
 
 // Timeline is an append-only interval log.
 type Timeline struct {
@@ -36,123 +49,104 @@ type Timeline struct {
 func New() *Timeline { return &Timeline{} }
 
 // Add records one interval.
-func (tl *Timeline) Add(resource, label, phase string, start, end sim.VTime) {
-	tl.Intervals = append(tl.Intervals, Interval{
-		Resource: resource, Label: label, Phase: phase,
-		Start: start, End: end,
-	})
+func (tl *Timeline) Add(phase Phase, start, end sim.VTime) {
+	tl.Intervals = append(tl.Intervals,
+		Interval{Phase: phase, Start: start, End: end})
 }
 
-// Span returns the earliest start and latest end across all intervals.
-func (tl *Timeline) Span() (start, end sim.VTime) {
-	if len(tl.Intervals) == 0 {
-		return 0, 0
-	}
-	start = sim.Infinity
-	for i := range tl.Intervals {
-		iv := &tl.Intervals[i]
-		if iv.Start.Before(start) {
-			start = iv.Start
-		}
-		if iv.End.After(end) {
-			end = iv.End
+// ByPhase returns the filter matching the named phase ("compute", "comm" or
+// "hostload"); any other name matches nothing.
+func ByPhase(name string) func(*Interval) bool {
+	for p, n := range phaseNames {
+		if n == name {
+			phase := Phase(p)
+			return func(iv *Interval) bool { return iv.Phase == phase }
 		}
 	}
-	return start, end
+	return func(*Interval) bool { return false }
 }
 
-// SumTime adds up interval durations matching the filter (overlaps counted
-// multiply). Useful for per-resource serial streams.
-func (tl *Timeline) SumTime(match func(*Interval) bool) sim.VTime {
-	var total sim.VTime
+// UnionTime computes the length of the union of non-empty intervals matching
+// the filter: the time during which at least one matching activity was
+// running. This is the paper's notion of "time at least one GPU is busy or
+// at least one data movement task is taking place".
+func (tl *Timeline) UnionTime(match func(*Interval) bool) sim.VTime {
+	// Count first so segs is allocated once at its exact size: a run calls
+	// this per phase over every interval it recorded.
+	n := 0
 	for i := range tl.Intervals {
 		if match(&tl.Intervals[i]) {
-			total += tl.Intervals[i].Duration()
+			n++
 		}
 	}
-	return total
-}
-
-// UnionTime computes the length of the union of intervals matching the
-// filter: the time during which at least one matching activity was running.
-// This is the paper's notion of "time at least one GPU is busy or at least
-// one data movement task is taking place".
-func (tl *Timeline) UnionTime(match func(*Interval) bool) sim.VTime {
-	type edge struct {
-		t     sim.VTime
-		delta int
-	}
-	var edges []edge
+	segs := make([]Seg, 0, n)
 	for i := range tl.Intervals {
 		iv := &tl.Intervals[i]
 		if !match(iv) || iv.End.AtOrBefore(iv.Start) {
 			continue
 		}
-		edges = append(edges, edge{iv.Start, +1}, edge{iv.End, -1})
+		segs = append(segs, Seg{float64(iv.Start), float64(iv.End)})
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].t != edges[j].t {
-			return edges[i].t.Before(edges[j].t)
-		}
-		return edges[i].delta > edges[j].delta
-	})
-	var total sim.VTime
-	depth := 0
-	var openAt sim.VTime
-	for _, e := range edges {
-		if depth == 0 && e.delta > 0 {
-			openAt = e.t
-		}
-		depth += e.delta
-		if depth == 0 && e.delta < 0 {
-			total += e.t - openAt
-		}
+	return sim.VTime(Length(Union(segs)))
+}
+
+// Seg is a closed-open [S, E) interval in seconds. The algebra works on
+// plain float64 so virtual-time comparison rules stay inside internal/sim.
+type Seg struct{ S, E float64 }
+
+// Union sorts in by start and merges overlapping or touching segments into
+// a sorted disjoint set, reusing in's storage. A zero-length segment that
+// touches no other one survives as a point: it adds nothing to Length, but
+// it splits a segment it is subtracted from.
+func Union(in []Seg) []Seg {
+	if len(in) == 0 {
+		return nil
 	}
-	return total
+	slices.SortFunc(in, func(a, b Seg) int { return cmp.Compare(a.S, b.S) })
+	out := in[:1]
+	for _, sg := range in[1:] {
+		last := &out[len(out)-1]
+		if sg.S <= last.E {
+			if sg.E > last.E {
+				last.E = sg.E
+			}
+			continue
+		}
+		out = append(out, sg)
+	}
+	return out
 }
 
-// ByPhase returns the filter matching one phase.
-func ByPhase(phase string) func(*Interval) bool {
-	return func(iv *Interval) bool { return iv.Phase == phase }
-}
-
-// ByResource returns the filter matching one resource.
-func ByResource(resource string) func(*Interval) bool {
-	return func(iv *Interval) bool { return iv.Resource == resource }
-}
-
-// And composes filters.
-func And(fs ...func(*Interval) bool) func(*Interval) bool {
-	return func(iv *Interval) bool {
-		for _, f := range fs {
-			if !f(iv) {
-				return false
+// Subtract returns a minus b; both must be sorted disjoint sets (Union
+// results).
+func Subtract(a, b []Seg) []Seg {
+	var out []Seg
+	j := 0
+	for _, cur := range a {
+		for j < len(b) && b[j].E <= cur.S {
+			j++
+		}
+		for k := j; k < len(b) && b[k].S < cur.E; k++ {
+			if b[k].S > cur.S {
+				out = append(out, Seg{cur.S, b[k].S})
+			}
+			cur.S = b[k].E
+			if cur.S >= cur.E {
+				break
 			}
 		}
-		return true
+		if cur.S < cur.E {
+			out = append(out, cur)
+		}
 	}
-}
-
-// Resources returns the distinct resource names, sorted.
-func (tl *Timeline) Resources() []string {
-	seen := map[string]bool{}
-	for i := range tl.Intervals {
-		seen[tl.Intervals[i].Resource] = true
-	}
-	out := make([]string, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Strings(out)
 	return out
 }
 
-// Summary formats per-resource busy times for quick inspection.
-func (tl *Timeline) Summary() string {
-	out := ""
-	for _, r := range tl.Resources() {
-		busy := tl.UnionTime(ByResource(r))
-		out += fmt.Sprintf("%-8s busy %v\n", r, busy)
+// Length sums a disjoint set's segment lengths in order.
+func Length(in []Seg) float64 {
+	var total float64
+	for _, sg := range in {
+		total += sg.E - sg.S
 	}
-	return out
+	return total
 }

@@ -59,6 +59,19 @@ go run ./cmd/triosim -model resnet18 -platform P1 -parallelism ddp \
   -trace-batch 32 -trace-out "$trace_out" >/dev/null
 go run ./cmd/triosimvet -trace-check "$trace_out"
 
+echo "==> timeline-html smoke (faulted DDP run: one breakdown row per lane, faults lane, critical outline)"
+go run ./cmd/triosim -model resnet18 -platform P2 -parallelism ddp \
+  -trace-batch 32 -fault-seed 7 -timeline-html "$tmpdir/timeline.html" >/dev/null
+lanes="$(grep -c '^<text class="lane-label"' "$tmpdir/timeline.html" || true)"
+rows="$(grep -c '^<tr><td>' "$tmpdir/timeline.html" || true)"
+outlined="$(grep -c 'stroke="#222"' "$tmpdir/timeline.html" || true)"
+(( lanes > 0 && rows == lanes )) ||
+  { echo "timeline-html smoke: $rows breakdown rows for $lanes lanes"; exit 1; }
+grep -q '^<text class="lane-label"[^>]*>faults</text>' "$tmpdir/timeline.html" ||
+  { echo "timeline-html smoke: no faults lane"; exit 1; }
+(( outlined >= 1 )) ||
+  { echo "timeline-html smoke: no critical-path rect outlined"; exit 1; }
+
 echo "==> serving span-trace smoke (-serve-sim -trace-out + trace-event schema validation)"
 go run ./cmd/triosim -serve-sim -model gpt2 -platform P1 -serve-requests 24 \
   -serve-rate 200 -serve-seed 7 -trace-out "$tmpdir/serving-trace.json" >/dev/null
