@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -20,6 +21,7 @@ import (
 	"triosim"
 	"triosim/internal/config"
 	"triosim/internal/monitor"
+	"triosim/internal/spantrace"
 )
 
 func main() {
@@ -263,19 +265,7 @@ func runAndReport(cfg triosim.Config, validate, memCheck, deterministic bool,
 	}
 
 	if metricsOut != "" && res.Report != nil {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := res.Report.WriteJSON(f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("metrics:         %s (%s)\n", metricsOut,
-			res.Report.Schema)
+		writeReport(metricsOut, res.Report)
 	}
 
 	if validate {
@@ -309,14 +299,7 @@ func runAndReport(cfg triosim.Config, validate, memCheck, deterministic bool,
 	}
 
 	if traceOut != "" {
-		if res.Spans == nil {
-			log.Fatal("-trace-out: run recorded no spans")
-		}
-		if err := res.Spans.WriteChromeTraceFile(traceOut); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("span trace:      %s (open in Perfetto / chrome://tracing)\n",
-			traceOut)
+		writeSpans(traceOut, res.Spans)
 	}
 
 	if timelineHTML != "" {
@@ -329,14 +312,41 @@ func runAndReport(cfg triosim.Config, validate, memCheck, deterministic bool,
 	}
 }
 
+// writeReport writes the -metrics-out RunReport JSON to path.
+func writeReport(path string, rep *triosim.RunReport) {
+	if err := writeFile(path, rep.WriteJSON); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("metrics:         %s (%s)\n", path, rep.Schema)
+}
+
+// writeSpans exports the -trace-out span log as Chrome trace JSON to path.
+func writeSpans(path string, spans *spantrace.Log) {
+	if spans == nil {
+		log.Fatal("-trace-out: run recorded no spans")
+	}
+	if err := spans.WriteChromeTraceFile(path); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("span trace:      %s (open in Perfetto / chrome://tracing)\n",
+		path)
+}
+
 // writeTimelineHTML renders the run's span log as the HTML timeline viewer
 // at path, with its critical path outlined.
 func writeTimelineHTML(path, title string, res *triosim.Result) error {
+	return writeFile(path, func(w io.Writer) error {
+		return res.Spans.WriteHTML(w, title, res.CriticalPath)
+	})
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := res.Spans.WriteHTML(f, title, res.CriticalPath); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 	"time"
 
 	"triosim"
@@ -91,28 +90,9 @@ func runServing(sf serveFlags, metricsOut, traceOut, faultsPath string) {
 		res.Events, res.WallClock, res.EventDigest)
 
 	if metricsOut != "" && res.Report != nil {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := res.Report.WriteJSON(f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("metrics:         %s (%s)\n", metricsOut,
-			res.Report.Schema)
+		writeReport(metricsOut, res.Report)
 	}
 	if traceOut != "" {
-		if res.Spans == nil {
-			log.Fatal("-trace-out: run recorded no spans")
-		}
-		if err := res.Spans.WriteChromeTraceFile(traceOut); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("span trace:      %s (open in Perfetto / chrome://tracing)\n",
-			traceOut)
+		writeSpans(traceOut, res.Spans)
 	}
 }

@@ -233,4 +233,25 @@ func TestRejections(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "GlobalBatch") {
 		t.Fatalf("global_batch -5: %v, want an error naming GlobalBatch", err)
 	}
+	// A global batch narrower than the data-parallel width, and more GPUs
+	// than the platform has, are rejected naming the field instead of
+	// running on fractional batch shares or failing in the extrapolator.
+	for body, field := range map[string]string{
+		`"global_batch": 3`: "GlobalBatch",
+		`"num_gpus": 64`:    "NumGPUs",
+	} {
+		spec, err := Load(writeSpec(t, `{"model": "resnet18",
+			"platform": "P2", "parallelism": "ddp", "trace_batch": 32, `+
+			body+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := spec.ToCore()
+		if err == nil {
+			_, err = core.Simulate(cfg)
+		}
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("%s: %v, want an error naming %s", body, err, field)
+		}
+	}
 }

@@ -176,6 +176,7 @@ func (c *Config) withDefaults() (Config, error) {
 		name string
 		v    int
 	}{
+		{"NumGPUs", out.NumGPUs},
 		{"Iterations", out.Iterations}, {"GlobalBatch", out.GlobalBatch},
 		{"MicroBatches", out.MicroBatches}, {"DPGroups", out.DPGroups},
 		{"TPRanks", out.TPRanks}, {"PPStages", out.PPStages},
@@ -193,6 +194,31 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.BucketBytes < 0 || math.IsNaN(out.BucketBytes) {
 		return out, fmt.Errorf("core: BucketBytes must be >= 0, got %g",
 			out.BucketBytes)
+	}
+	// Cross-field checks that would otherwise surface only after the trace
+	// is collected: as an extrapolator error, or not at all (each GPU would
+	// run a fractional batch share).
+	gpus := out.Platform.NumGPUs
+	if out.Topology != nil {
+		gpus = len(out.Topology.GPUs())
+	}
+	if out.Parallelism != Single && out.NumGPUs > gpus {
+		return out, fmt.Errorf("core: NumGPUs %d exceeds the topology's %d GPUs",
+			out.NumGPUs, gpus)
+	}
+	batch := out.GlobalBatch
+	if batch == 0 {
+		batch = out.TraceBatch
+		if out.Trace != nil {
+			batch = out.Trace.BatchSize
+		}
+	}
+	switch out.Parallelism {
+	case DP, DDP, ZeRO1:
+		if batch < out.NumGPUs {
+			return out, fmt.Errorf("core: GlobalBatch %d is smaller than "+
+				"the %d data-parallel GPUs", batch, out.NumGPUs)
+		}
 	}
 	return out, nil
 }
@@ -440,6 +466,7 @@ func execute(cfg Config, tr *trace.Trace, timer extrapolator.OpTimer,
 		TotalSec:        makespan.Seconds(),
 		PerIterationSec: out.PerIteration.Seconds(),
 		Parallel:        res.Meta,
+		Phases:          tl,
 	})
 	if err != nil {
 		return nil, err

@@ -239,6 +239,26 @@ func TestConfigErrors(t *testing.T) {
 			t.Fatalf("negative %s: %v, want an error naming it", c.field, err)
 		}
 	}
+	// Cross-field checks fail before the trace is collected (the unknown
+	// model would fail there), naming the field.
+	for _, c := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"NumGPUs", Config{Parallelism: DDP, NumGPUs: -1}},
+		{"NumGPUs", Config{Parallelism: DDP, NumGPUs: 64}},
+		{"NumGPUs", Config{Parallelism: TP, NumGPUs: 5}},
+		{"GlobalBatch", Config{Parallelism: DDP, GlobalBatch: 3}},
+		{"GlobalBatch", Config{Parallelism: DP, GlobalBatch: 3}},
+		{"GlobalBatch", Config{Parallelism: ZeRO1, GlobalBatch: 3}},
+		{"GlobalBatch", Config{Parallelism: DDP, TraceBatch: 2}},
+	} {
+		c.cfg.Model, c.cfg.Platform = "no-such-model", p2()
+		if _, err := Simulate(c.cfg); err == nil ||
+			!strings.Contains(err.Error(), c.field) {
+			t.Fatalf("%+v: %v, want an error naming %s", c.cfg, err, c.field)
+		}
+	}
 	if _, err := Simulate(Config{Model: "resnet18", Platform: p1(),
 		BucketBytes: -1}); err == nil ||
 		!strings.Contains(err.Error(), "BucketBytes") {

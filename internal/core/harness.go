@@ -175,8 +175,8 @@ type outcome struct {
 
 // finish closes a completed run whose workload ended at end. ckptCost is
 // the resolved per-checkpoint pause for the resilience overlay. info
-// carries the workload's RunInfo fields; finish adds the engine and
-// network ones.
+// carries the workload's RunInfo fields, its phase record store included;
+// finish adds the engine and network ones.
 func (h *harness) finish(end, ckptCost sim.VTime,
 	info telemetry.RunInfo) (*outcome, error) {
 

@@ -12,6 +12,7 @@ import (
 	"triosim/internal/sim"
 	"triosim/internal/spantrace"
 	"triosim/internal/telemetry"
+	"triosim/internal/timeline"
 )
 
 // ServeConfig describes one request-level inference-serving simulation: a
@@ -103,6 +104,10 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Telemetry || cfg.Metrics != nil {
+		// The collector's per-GPU partition is the store's only reader.
+		cl.Phases = timeline.New()
+	}
 	if err := h.attach(workload{
 		observe: cl.Observe,
 		stretch: &cl.Stretch,
@@ -137,6 +142,7 @@ func Serve(cfg ServeConfig) (*ServeResult, error) {
 			Strategy: "serving-" + m.Scheduler,
 			Replicas: m.Replicas,
 		},
+		Phases: cl.Phases,
 	})
 	if err != nil {
 		return nil, err

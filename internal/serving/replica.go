@@ -6,6 +6,7 @@ import (
 	"triosim/internal/network"
 	"triosim/internal/sim"
 	"triosim/internal/task"
+	"triosim/internal/timeline"
 )
 
 // active is one request resident in a replica's continuous batch.
@@ -182,10 +183,13 @@ func (c *Cluster) ship(r *replica, id int, now sim.VTime) {
 	})
 }
 
-// notify reports a synthesized per-step task to the registered observers:
-// the telemetry collector sees it as compute occupancy on the replica's
-// GPU, the span recorder as a span on that GPU's track.
+// observeStep stores a finished step as a compute record on the replica's
+// GPU (if Phases is set) and reports it to the observers as a synthesized
+// task: the collector counts it, the span recorder draws it.
 func (c *Cluster) observeStep(idx, batch int, start, end, nominal sim.VTime) {
+	if c.Phases != nil {
+		c.Phases.Add(timeline.Compute, idx, -1, start, end)
+	}
 	if len(c.obs) == 0 {
 		return
 	}

@@ -21,6 +21,7 @@ import (
 	"triosim/internal/sim"
 	"triosim/internal/spantrace"
 	"triosim/internal/task"
+	"triosim/internal/timeline"
 )
 
 // tokenWireBytes is the wire size of one token ID (the serving layer moves
@@ -76,6 +77,10 @@ type Cluster struct {
 	// Spans, when set, receives one request-lifetime span per completed
 	// request on a per-replica "requests.gpuN" track.
 	Spans *spantrace.Recorder
+
+	// Phases, when set, receives one compute record per replica step, on
+	// the replica's GPU index: the run's phase record store.
+	Phases *timeline.Timeline
 
 	reqs      []Request
 	stats     []reqStat

@@ -10,6 +10,7 @@ import (
 	"triosim/internal/sim"
 	"triosim/internal/spantrace"
 	"triosim/internal/task"
+	"triosim/internal/timeline"
 )
 
 // testTopo builds a small switch topology for direct cluster runs.
@@ -167,6 +168,7 @@ func TestServingRequestSpansRecorded(t *testing.T) {
 	rec := spantrace.NewRecorder(nil, topo)
 	cl.Observe(rec)
 	cl.Spans = rec
+	cl.Phases = timeline.New()
 	cl.Start()
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -184,6 +186,16 @@ func TestServingRequestSpansRecorded(t *testing.T) {
 	}
 	if reqSpans != m.Requests {
 		t.Fatalf("%d request spans, want %d", reqSpans, m.Requests)
+	}
+	// The phase store holds one compute record per step, on its replica.
+	recs := cl.Phases.Records(timeline.Compute)
+	if len(recs) != m.Steps {
+		t.Fatalf("%d compute records, want %d steps", len(recs), m.Steps)
+	}
+	for _, r := range recs {
+		if r.A < 0 || int(r.A) >= m.Replicas {
+			t.Fatalf("compute record on replica %d of %d", r.A, m.Replicas)
+		}
 	}
 }
 

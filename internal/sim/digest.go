@@ -17,11 +17,10 @@ const (
 // itself diverged — the exact failure mode map iteration order, wall-clock
 // reads, or unseeded randomness introduce. It is the runtime complement to
 // the triosimvet static analyzers.
+//
+// Each event is labelled by the dynamic types of the event and its handler,
+// which are stable across runs of a binary.
 type DigestHook struct {
-	// NameOf labels events in the digest. Nil uses the dynamic types of the
-	// event and its handler, which are stable across runs of a binary.
-	NameOf func(e Event) string
-
 	digest uint64
 	count  uint64
 }
@@ -40,13 +39,7 @@ func (d *DigestHook) Func(ctx HookCtx) {
 	}
 	d.foldUint64(math.Float64bits(float64(ctx.Now)))
 	if e, ok := ctx.Item.(Event); ok {
-		name := ""
-		if d.NameOf != nil {
-			name = d.NameOf(e)
-		} else {
-			name = fmt.Sprintf("%T/%T", e, e.Handler())
-		}
-		d.foldString(name)
+		d.foldString(fmt.Sprintf("%T/%T", e, e.Handler()))
 		d.foldUint64(uint64(boolBit(e.IsSecondary())))
 	}
 	d.foldUint64(d.count)

@@ -70,7 +70,6 @@ func TestReplayCheckNeedsTwoRuns(t *testing.T) {
 func TestDigestHookCountsAndNames(t *testing.T) {
 	eng := NewSerialEngine()
 	d := NewDigestHook()
-	d.NameOf = func(e Event) string { return "ev" }
 	eng.RegisterHook(d)
 	for i := 1; i <= 3; i++ {
 		eng.Schedule(NewFuncEvent(VTime(i), func(VTime) error { return nil }))
@@ -101,23 +100,5 @@ func TestDigestDiffersAcrossSchedules(t *testing.T) {
 	}
 	if digestOf([]VTime{1, 2, 3}) == digestOf([]VTime{1, 2, 4}) {
 		t.Fatal("different schedules produced the same digest")
-	}
-}
-
-func TestMonitorHandlerCountsSorted(t *testing.T) {
-	m := NewMonitor(nil)
-	m.ByHandler = map[string]uint64{"zeta": 3, "alpha": 1, "mid": 2}
-	counts := m.HandlerCounts()
-	if len(counts) != 3 {
-		t.Fatalf("len = %d", len(counts))
-	}
-	want := []string{"alpha", "mid", "zeta"}
-	for i, hc := range counts {
-		if hc.Name != want[i] {
-			t.Fatalf("order %v, want %v", counts, want)
-		}
-	}
-	if counts[0].Count != 1 || counts[2].Count != 3 {
-		t.Fatalf("counts wrong: %v", counts)
 	}
 }

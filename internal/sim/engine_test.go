@@ -28,6 +28,13 @@ func TestSerialEngineDispatchOrder(t *testing.T) {
 			t.Fatalf("dispatch order %v, want %v", got, want)
 		}
 	}
+	if eng.EventCount() != 5 {
+		t.Fatalf("EventCount = %d, want 5", eng.EventCount())
+	}
+	if eng.CurrentTime() != 5 {
+		t.Fatalf("CurrentTime after the last event = %v, want 5",
+			eng.CurrentTime())
+	}
 }
 
 func TestSerialEngineSameTimeFIFO(t *testing.T) {
@@ -136,30 +143,6 @@ func TestTerminateAndResume(t *testing.T) {
 	}
 	if count != 5 {
 		t.Fatalf("ran %d events total, want 5", count)
-	}
-}
-
-func TestMonitorHook(t *testing.T) {
-	eng := NewSerialEngine()
-	mon := NewMonitor(func(Event) string { return "func" })
-	eng.RegisterHook(mon)
-	for i := 1; i <= 4; i++ {
-		eng.Schedule(NewFuncEvent(VTime(i), func(VTime) error { return nil }))
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if mon.Events != 4 {
-		t.Fatalf("monitor counted %d events, want 4", mon.Events)
-	}
-	if mon.LastTime != 4 {
-		t.Fatalf("monitor last time %v, want 4", mon.LastTime)
-	}
-	if mon.ByHandler["func"] != 4 {
-		t.Fatalf("by-handler count = %v", mon.ByHandler)
-	}
-	if eng.EventCount() != 4 {
-		t.Fatalf("EventCount = %d", eng.EventCount())
 	}
 }
 

@@ -34,8 +34,9 @@ func (os Observers) TaskDone(t *Task, start, end sim.VTime) {
 // Executor runs a task graph on the event engine: compute tasks occupy their
 // GPU's compute stream serially (in ready order), communication tasks go to
 // the network model (which shares bandwidth among concurrent transfers), and
-// barriers resolve instantly. It records each compute, communication and
-// host-staging interval on a phase timeline.
+// barriers resolve instantly. It records each finished compute,
+// communication and host-staging task — its interval with its GPU or
+// endpoints — in a phase record store.
 type Executor struct {
 	eng   sim.Engine
 	net   network.Network
@@ -85,7 +86,6 @@ type doneRec struct {
 	gpu   int
 	start sim.VTime
 	delay bool
-	phase timeline.Phase
 
 	onTimer func(now sim.VTime) error
 	onComm  func(end sim.VTime)
@@ -105,11 +105,6 @@ func NewExecutor(eng sim.Engine, net network.Network, g *Graph,
 // Observe registers an observer; call before Run.
 func (x *Executor) Observe(o Observer) {
 	x.obs = append(x.obs, o)
-}
-
-// notify reports a finished resource-occupying task to every observer.
-func (x *Executor) notify(t *Task, start, end sim.VTime) {
-	x.obs.TaskDone(t, start, end)
 }
 
 // lane returns gpu's lane, growing the lane table on first sight of the GPU.
@@ -156,6 +151,9 @@ func (x *Executor) Run() (sim.VTime, error) {
 	}
 	x.startTime = x.eng.CurrentTime()
 	x.lastEnd = x.startTime
+	// Every compute, comm and host-load task adds exactly one record.
+	s := x.graph.Summarize()
+	x.tl.Grow([timeline.NumPhases]int{s.Compute, s.Comm, s.HostLoad})
 
 	sim.ScheduleFunc(x.eng, x.startTime, func(now sim.VTime) error {
 		// Snapshot the initial ready set first: instantaneous tasks (e.g.
@@ -192,15 +190,11 @@ func (x *Executor) ready(t *Task, now sim.VTime) {
 			x.startNextCompute(t.GPU, now)
 		}
 	case Comm, HostLoad:
-		phase := timeline.Comm
-		if t.Kind == HostLoad {
-			phase = timeline.HostLoad
-		}
 		r := x.getRec()
-		r.t, r.start, r.phase = t, now, phase
+		r.t, r.start = t, now
 		x.net.Send(t.Src, t.Dst, t.Bytes, r.onComm)
 	case Barrier:
-		x.notify(t, now, now)
+		x.obs.TaskDone(t, now, now)
 		x.complete(t, now)
 	case Delay:
 		r := x.getRec()
@@ -239,12 +233,12 @@ func (r *doneRec) timerDone(done sim.VTime) error {
 	x, t, gpu, start, delay := r.x, r.t, r.gpu, r.start, r.delay
 	x.putRec(r)
 	if delay {
-		x.notify(t, start, done)
+		x.obs.TaskDone(t, start, done)
 		x.complete(t, done)
 		return nil
 	}
-	x.tl.Add(timeline.Compute, start, done)
-	x.notify(t, start, done)
+	x.tl.Add(timeline.Compute, gpu, -1, start, done)
+	x.obs.TaskDone(t, start, done)
 	x.lane(gpu).busy = false
 	x.complete(t, done)
 	x.startNextCompute(gpu, done)
@@ -254,10 +248,14 @@ func (r *doneRec) timerDone(done sim.VTime) error {
 // commDone completes a communication task when the network model reports the
 // transfer finished.
 func (r *doneRec) commDone(end sim.VTime) {
-	x, t, start, phase := r.x, r.t, r.start, r.phase
+	x, t, start := r.x, r.t, r.start
 	x.putRec(r)
-	x.tl.Add(phase, start, end)
-	x.notify(t, start, end)
+	phase := timeline.Comm
+	if t.Kind == HostLoad {
+		phase = timeline.HostLoad
+	}
+	x.tl.Add(phase, int(t.Src), int(t.Dst), start, end)
+	x.obs.TaskDone(t, start, end)
 	x.complete(t, end)
 }
 

@@ -269,15 +269,23 @@ func TestExecutorRandomDAGsProperty(t *testing.T) {
 			t.Fatalf("trial %d: makespan %v outside [%v, %v]",
 				trial, makespan, cp, serial)
 		}
-		var runs int
-		for i := range tl.Intervals {
-			if tl.Intervals[i].Phase == timeline.Compute {
-				runs++
-			}
-		}
-		if runs != n {
+		if runs := len(tl.Records(timeline.Compute)); runs != n {
 			t.Fatalf("trial %d: %d compute intervals for %d tasks",
 				trial, runs, n)
+		}
+		// Each compute record keeps its task's GPU.
+		perGPU := map[int]int{}
+		for _, tk := range g.Tasks {
+			perGPU[tk.GPU]++
+		}
+		for _, r := range tl.Records(timeline.Compute) {
+			perGPU[int(r.A)]--
+		}
+		for gpu, left := range perGPU {
+			if left != 0 {
+				t.Fatalf("trial %d: gpu%d compute records off by %d",
+					trial, gpu, -left)
+			}
 		}
 	}
 }
@@ -322,5 +330,15 @@ func TestExecutorWithFlowNetwork(t *testing.T) {
 	}
 	if makespan != 2 {
 		t.Fatalf("shared-link makespan = %v, want 2", makespan)
+	}
+	recs := tl.Records(timeline.Comm)
+	if len(recs) != 2 {
+		t.Fatalf("%d comm records, want 2", len(recs))
+	}
+	for _, r := range recs {
+		if network.NodeID(r.A) != a || network.NodeID(r.B) != b {
+			t.Fatalf("comm record endpoints %d→%d, want %d→%d",
+				r.A, r.B, a, b)
+		}
 	}
 }

@@ -80,12 +80,6 @@ type Collector struct {
 	log  *CollectiveLog
 
 	gpuIndex map[network.NodeID]int
-	nGPUs    int
-
-	computeIvl   map[int][]timeline.Seg
-	commIvl      map[int][]timeline.Seg
-	hostIvl      map[int][]timeline.Seg
-	computeTasks map[int]int
 
 	linkBytes map[string]float64
 	linkFlows map[string]int
@@ -107,21 +101,17 @@ type Collector struct {
 func NewCollector(reg *Registry, topo *network.Topology,
 	log *CollectiveLog) *Collector {
 	c := &Collector{
-		reg:          reg,
-		topo:         topo,
-		log:          log,
-		gpuIndex:     map[network.NodeID]int{},
-		computeIvl:   map[int][]timeline.Seg{},
-		commIvl:      map[int][]timeline.Seg{},
-		hostIvl:      map[int][]timeline.Seg{},
-		computeTasks: map[int]int{},
-		linkBytes:    map[string]float64{},
-		linkFlows:    map[string]int{},
-		linkBw:       map[string]float64{},
-		tierBytes:    map[string]float64{},
-		tierFlows:    map[string]int{},
-		coll:         map[string]*collAgg{},
-		kinds:        map[string]uint64{},
+		reg:       reg,
+		topo:      topo,
+		log:       log,
+		gpuIndex:  map[network.NodeID]int{},
+		linkBytes: map[string]float64{},
+		linkFlows: map[string]int{},
+		linkBw:    map[string]float64{},
+		tierBytes: map[string]float64{},
+		tierFlows: map[string]int{},
+		coll:      map[string]*collAgg{},
+		kinds:     map[string]uint64{},
 	}
 	for i, id := range topo.GPUs() {
 		c.gpuIndex[id] = i
@@ -129,42 +119,25 @@ func NewCollector(reg *Registry, topo *network.Topology,
 	return c
 }
 
-// Registry returns the backing metrics registry.
-func (c *Collector) Registry() *Registry { return c.reg }
-
 var _ task.Observer = (*Collector)(nil)
 var _ network.FlowObserver = (*Collector)(nil)
 
-// TaskDone implements task.Observer.
+// TaskDone implements task.Observer. Task intervals are not kept here:
+// Finalize partitions the run's phase records (RunInfo.Phases).
 func (c *Collector) TaskDone(t *task.Task, start, end sim.VTime) {
 	s, e := start.Seconds(), end.Seconds()
 	switch t.Kind {
 	case task.Compute:
-		g := t.GPU
-		c.computeIvl[g] = append(c.computeIvl[g], timeline.Seg{S: s, E: e})
-		c.computeTasks[g]++
 		c.reg.Counter("triosim_gpu_compute_seconds_total", "gpu",
-			fmt.Sprintf("gpu%d", g),
+			fmt.Sprintf("gpu%d", t.GPU),
 			"Serial compute-stream occupancy per GPU.").Add(e - s)
 		c.reg.Histogram("triosim_op_duration_seconds", "category",
 			OpCategory(t.Label),
 			"Per-operator compute durations by category.",
 			DurationBuckets).Observe(e - s)
 	case task.Comm:
-		for _, nid := range []network.NodeID{t.Src, t.Dst} {
-			if g, ok := c.gpuIndex[nid]; ok {
-				c.commIvl[g] = append(c.commIvl[g], timeline.Seg{S: s, E: e})
-			}
-			if t.Src == t.Dst {
-				break // local transfer: attribute once
-			}
-		}
 		if t.Collective != "" {
 			c.observeCollective(t, s, e)
-		}
-	case task.HostLoad:
-		if g, ok := c.gpuIndex[t.Dst]; ok {
-			c.hostIvl[g] = append(c.hostIvl[g], timeline.Seg{S: s, E: e})
 		}
 	}
 }
@@ -314,6 +287,48 @@ type RunInfo struct {
 	// network.FlowNetwork.SolveClock).
 	NetSolveSeconds float64
 	Parallel        ParallelStat
+	// Phases is the run's phase record store, the per-GPU partition's
+	// source; nil leaves every GPU idle.
+	Phases *timeline.Timeline
+}
+
+// gpuSegs buckets the phase records into segments per phase and GPU, for
+// the first n GPUs: a compute record goes to its GPU, a comm record to each
+// GPU endpoint (once when both ends are the same node), a host-load record
+// to its destination. A non-GPU endpoint gets no share of the partition.
+func (c *Collector) gpuSegs(tl *timeline.Timeline,
+	n int) (segs [timeline.NumPhases][][]timeline.Seg) {
+
+	gpuOf := func(node int32) int {
+		if g, ok := c.gpuIndex[network.NodeID(node)]; ok {
+			return g
+		}
+		return -1
+	}
+	for p := range segs {
+		phase, out := timeline.Phase(p), make([][]timeline.Seg, n)
+		add := func(g int, r timeline.Record) {
+			if g >= 0 && g < n {
+				out[g] = append(out[g],
+					timeline.Seg{S: r.Start.Seconds(), E: r.End.Seconds()})
+			}
+		}
+		for _, r := range tl.Records(phase) {
+			switch phase {
+			case timeline.Compute:
+				add(int(r.A), r)
+			case timeline.HostLoad:
+				add(gpuOf(r.B), r)
+			default:
+				add(gpuOf(r.A), r)
+				if r.B != r.A {
+					add(gpuOf(r.B), r)
+				}
+			}
+		}
+		segs[p] = out
+	}
+	return segs
 }
 
 // Finalize computes the per-GPU exposed-time partition, final link
@@ -336,10 +351,12 @@ func (c *Collector) Finalize(info RunInfo) *RunReport {
 	// Per-GPU partition: compute is the serial stream's union; comm counts
 	// only where it is not hidden under compute; host staging only where
 	// neither compute nor comm runs; idle is the exact remainder.
+	segs := c.gpuSegs(info.Phases, info.NumGPUs)
 	for g := 0; g < info.NumGPUs; g++ {
-		compute := timeline.Union(c.computeIvl[g])
-		comm := timeline.Union(c.commIvl[g])
-		host := timeline.Union(c.hostIvl[g])
+		tasks := len(segs[timeline.Compute][g])
+		compute := timeline.Union(segs[timeline.Compute][g])
+		comm := timeline.Union(segs[timeline.Comm][g])
+		host := timeline.Union(segs[timeline.HostLoad][g])
 		busy := timeline.Length(compute)
 		exposedComm := timeline.Length(timeline.Subtract(comm, compute))
 		notIdle := timeline.Union(
@@ -352,7 +369,7 @@ func (c *Collector) Finalize(info RunInfo) *RunReport {
 			ExposedCommSec: exposedComm,
 			ExposedHostSec: exposedHost,
 			IdleSec:        idle,
-			ComputeTasks:   c.computeTasks[g],
+			ComputeTasks:   tasks,
 		})
 		label := fmt.Sprintf("gpu%d", g)
 		c.reg.Gauge("triosim_gpu_exposed_comm_seconds", "gpu", label,

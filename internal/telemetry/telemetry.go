@@ -56,13 +56,6 @@ type Gauge struct {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.value = v }
 
-// SetMax stores v only when it exceeds the current value (high-water marks).
-func (g *Gauge) SetMax(v float64) {
-	if v > g.value {
-		g.value = v
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.value }
 
@@ -88,9 +81,6 @@ func (h *Histogram) Sum() float64 { return h.sum }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
-
-// Bounds returns the configured upper bucket edges.
-func (h *Histogram) Bounds() []float64 { return h.bounds }
 
 // Counts returns per-bucket observation counts (last entry is +Inf).
 func (h *Histogram) Counts() []uint64 { return h.counts }

@@ -1,9 +1,8 @@
-// Package timeline accumulates a run's per-phase activity — when a GPU
-// computed, a transfer was in flight, or input was being staged — for the
-// union times behind Result.ComputeTime, CommTime and HostLoadTime. It also
-// holds the one interval algebra (Union, Subtract, Length) that the span
-// log's breakdown and the telemetry collector share. Labelled per-task
-// intervals live in internal/spantrace.
+// Package timeline is a run's phase record store — one record per finished
+// compute, comm or host-staging task, with the GPU or endpoints it occupied
+// — behind Result.ComputeTime, CommTime and HostLoadTime and the telemetry
+// collector's per-GPU partition, plus the one interval algebra (Union,
+// Subtract, Length). Labelled per-task intervals live in internal/spantrace.
 package timeline
 
 import (
@@ -13,7 +12,7 @@ import (
 	"triosim/internal/sim"
 )
 
-// Phase classifies an interval for the union times.
+// Phase classifies a record for the union times.
 type Phase uint8
 
 // Recorded phases.
@@ -21,37 +20,57 @@ const (
 	Compute Phase = iota
 	Comm
 	HostLoad
+	NumPhases // the number of phases, not a phase
 )
 
-var phaseNames = [...]string{"compute", "comm", "hostload"}
+var phaseNames = [NumPhases]string{"compute", "comm", "hostload"}
 
-// String returns the phase name.
-func (p Phase) String() string {
-	if int(p) < len(phaseNames) {
-		return phaseNames[p]
-	}
-	return "unknown"
+// Record is one finished task's occupancy and the resource it occupied. A
+// compute record keeps its GPU index in A (B is -1); a comm or host-load
+// record keeps its source and destination node IDs in A and B. It holds no
+// pointers, so the store is never scanned by the garbage collector, and its
+// two int32 lanes keep it at 24 bytes.
+type Record struct {
+	A, B       int32
+	Start, End sim.VTime
 }
 
-// Interval is one recorded activity. It holds no pointers, so the log is
-// never scanned by the garbage collector.
+// Interval is the phase-tagged view of one record that UnionTime's filters
+// see.
 type Interval struct {
 	Phase      Phase
 	Start, End sim.VTime
 }
 
-// Timeline is an append-only interval log.
+// Timeline is the append-only record store, one slice per phase.
 type Timeline struct {
-	Intervals []Interval
+	phases [NumPhases][]Record
 }
 
 // New returns an empty timeline.
 func New() *Timeline { return &Timeline{} }
 
-// Add records one interval.
-func (tl *Timeline) Add(phase Phase, start, end sim.VTime) {
-	tl.Intervals = append(tl.Intervals,
-		Interval{Phase: phase, Start: start, End: end})
+// Add records one finished task of phase that occupied [start, end): a
+// and b are the record's lanes (see Record).
+func (tl *Timeline) Add(phase Phase, a, b int, start, end sim.VTime) {
+	tl.phases[phase] = append(tl.phases[phase],
+		Record{A: int32(a), B: int32(b), Start: start, End: end})
+}
+
+// Grow makes room for n[p] more records of each phase p.
+func (tl *Timeline) Grow(n [NumPhases]int) {
+	for p := range tl.phases {
+		tl.phases[p] = slices.Grow(tl.phases[p], n[p])
+	}
+}
+
+// Records returns the phase's records in the order they were added; a nil
+// timeline has none. The slice is the store's own: read, don't modify.
+func (tl *Timeline) Records(phase Phase) []Record {
+	if tl == nil {
+		return nil
+	}
+	return tl.phases[phase]
 }
 
 // ByPhase returns the filter matching the named phase ("compute", "comm" or
@@ -66,27 +85,32 @@ func ByPhase(name string) func(*Interval) bool {
 	return func(*Interval) bool { return false }
 }
 
-// UnionTime computes the length of the union of non-empty intervals matching
+// UnionTime computes the length of the union of non-empty records matching
 // the filter: the time during which at least one matching activity was
 // running. This is the paper's notion of "time at least one GPU is busy or
 // at least one data movement task is taking place".
 func (tl *Timeline) UnionTime(match func(*Interval) bool) sim.VTime {
-	// Count first so segs is allocated once at its exact size: a run calls
-	// this per phase over every interval it recorded.
+	// Visit twice — count, then fill — so segs is allocated once at its
+	// exact size: a run calls this per phase over every record it stored.
+	var iv Interval
+	visit := func(f func(r *Record)) {
+		for p := range tl.phases {
+			iv.Phase = Phase(p)
+			for i := range tl.phases[p] {
+				r := &tl.phases[p][i]
+				iv.Start, iv.End = r.Start, r.End
+				if match(&iv) && !r.End.AtOrBefore(r.Start) {
+					f(r)
+				}
+			}
+		}
+	}
 	n := 0
-	for i := range tl.Intervals {
-		if match(&tl.Intervals[i]) {
-			n++
-		}
-	}
+	visit(func(*Record) { n++ })
 	segs := make([]Seg, 0, n)
-	for i := range tl.Intervals {
-		iv := &tl.Intervals[i]
-		if !match(iv) || iv.End.AtOrBefore(iv.Start) {
-			continue
-		}
-		segs = append(segs, Seg{float64(iv.Start), float64(iv.End)})
-	}
+	visit(func(r *Record) {
+		segs = append(segs, Seg{float64(r.Start), float64(r.End)})
+	})
 	return sim.VTime(Length(Union(segs)))
 }
 

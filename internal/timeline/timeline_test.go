@@ -5,21 +5,24 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"triosim/internal/sim"
 )
 
 // referenceUnionTime is the edge-sweep union the merge-based algebra
-// replaced: +1/−1 edges sorted by time (opens before closes at ties), with
-// the covered length summed each time the depth returns to zero.
-func referenceUnionTime(tl *Timeline, match func(*Interval) bool) sim.VTime {
+// replaced, over one flat phase-tagged log (the store's shape before it kept
+// one record slice per phase): +1/−1 edges sorted by time (opens before
+// closes at ties), with the covered length summed each time the depth
+// returns to zero.
+func referenceUnionTime(log []Interval, match func(*Interval) bool) sim.VTime {
 	type edge struct {
 		t     sim.VTime
 		delta int
 	}
 	var edges []edge
-	for i := range tl.Intervals {
-		iv := &tl.Intervals[i]
+	for i := range log {
+		iv := &log[i]
 		if !match(iv) || iv.End.AtOrBefore(iv.Start) {
 			continue
 		}
@@ -50,9 +53,9 @@ func all(*Interval) bool { return true }
 
 func TestSumAndUnion(t *testing.T) {
 	tl := New()
-	tl.Add(Compute, 0, 2)
-	tl.Add(Compute, 1, 3) // overlaps the first
-	tl.Add(Comm, 5, 6)
+	tl.Add(Compute, 0, -1, 0, 2)
+	tl.Add(Compute, 1, -1, 1, 3) // overlaps the first
+	tl.Add(Comm, 0, 1, 5, 6)
 
 	if got := Length([]Seg{{0, 2}, {1, 3}}); got != 4 {
 		t.Fatalf("Length = %v, want 4", got)
@@ -70,8 +73,8 @@ func TestSumAndUnion(t *testing.T) {
 
 func TestFilters(t *testing.T) {
 	tl := New()
-	tl.Add(Compute, 0, 1)
-	tl.Add(HostLoad, 0, 2)
+	tl.Add(Compute, 0, -1, 0, 1)
+	tl.Add(HostLoad, 4, 0, 0, 2)
 	for name, want := range map[string]sim.VTime{
 		"compute": 1, "hostload": 2, "comm": 0, "fault": 0,
 	} {
@@ -79,15 +82,12 @@ func TestFilters(t *testing.T) {
 			t.Fatalf("ByPhase(%q) union = %v, want %v", name, got, want)
 		}
 	}
-	if Comm.String() != "comm" || Phase(9).String() != "unknown" {
-		t.Fatal("phase names wrong")
-	}
 }
 
 func TestUnionAdjacentIntervals(t *testing.T) {
 	tl := New()
-	tl.Add(Compute, 0, 1)
-	tl.Add(Compute, 1, 2) // touching, not overlapping
+	tl.Add(Compute, 0, -1, 0, 1)
+	tl.Add(Compute, 0, -1, 1, 2) // touching, not overlapping
 	if got := tl.UnionTime(ByPhase("compute")); got != 2 {
 		t.Fatalf("adjacent union = %v, want 2", got)
 	}
@@ -95,7 +95,7 @@ func TestUnionAdjacentIntervals(t *testing.T) {
 
 func TestUnionIgnoresEmptyIntervals(t *testing.T) {
 	tl := New()
-	tl.Add(Compute, 5, 5)
+	tl.Add(Compute, 0, -1, 5, 5)
 	if got := tl.UnionTime(ByPhase("compute")); got != 0 {
 		t.Fatalf("empty-interval union = %v", got)
 	}
@@ -111,7 +111,7 @@ func TestUnionBoundsProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			s := sim.VTime(rng.Intn(100))
 			d := sim.VTime(1 + rng.Intn(20))
-			tl.Add(Compute, s, s+d)
+			tl.Add(Compute, i%4, -1, s, s+d)
 			sum += d
 			if d > maxDur {
 				maxDur = d
@@ -135,7 +135,7 @@ func TestUnionMatchesBruteForce(t *testing.T) {
 		for i := 0; i < n; i++ {
 			s := rng.Intn(50)
 			e := s + 1 + rng.Intn(10)
-			tl.Add(Comm, sim.VTime(s), sim.VTime(e))
+			tl.Add(Comm, i, i+1, sim.VTime(s), sim.VTime(e))
 			for x := s; x < e; x++ {
 				covered[x] = true
 			}
@@ -147,21 +147,25 @@ func TestUnionMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// Property: the merge-based union is bit-identical to the edge-sweep
-// reference on random float intervals, including touching, nested and
-// zero-length ones — both through UnionTime and with the zero-length
-// segments handed to Union directly.
+// Property: the merge-based union over the per-phase record slices is
+// bit-identical to the edge-sweep reference over one flat phase-tagged log
+// on random float intervals, including touching, nested and zero-length
+// ones — both through UnionTime and with the zero-length segments handed to
+// Union directly — and each phase's slice holds exactly that phase's
+// records, lanes included, in the order they were added.
 func TestUnionMatchesEdgeSweepReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 500; trial++ {
 		tl := New()
+		var log []Interval
+		var want [NumPhases][]Record
 		var segs []Seg
 		n := 1 + rng.Intn(40)
 		for i := 0; i < n; i++ {
 			s := rng.Float64() * 1e-2
 			e := s + rng.Float64()*3e-3
 			if i > 0 {
-				prev := tl.Intervals[i-1]
+				prev := log[i-1]
 				switch rng.Intn(5) {
 				case 0: // touching the previous interval
 					s = float64(prev.End)
@@ -174,25 +178,59 @@ func TestUnionMatchesEdgeSweepReference(t *testing.T) {
 					e = s
 				}
 			}
-			tl.Add(Phase(rng.Intn(3)), sim.VTime(s), sim.VTime(e))
+			p := Phase(rng.Intn(int(NumPhases)))
+			r := Record{A: int32(rng.Intn(8)), B: int32(rng.Intn(8)),
+				Start: sim.VTime(s), End: sim.VTime(e)}
+			if p == Compute {
+				r.B = -1
+			}
+			tl.Add(p, int(r.A), int(r.B), r.Start, r.End)
+			want[p] = append(want[p], r)
+			log = append(log, Interval{Phase: p, Start: r.Start, End: r.End})
 			segs = append(segs, Seg{s, e})
 		}
-		want := referenceUnionTime(tl, all)
-		if got := tl.UnionTime(all); got != want {
-			t.Fatalf("trial %d: UnionTime %v, reference %v", trial, got, want)
-		}
-		if got := Length(Union(segs)); math.Float64bits(got) !=
-			math.Float64bits(float64(want)) {
-			t.Fatalf("trial %d: Length(Union) %v, reference %v",
-				trial, got, want)
-		}
-		for p := Compute; p <= HostLoad; p++ {
-			f := ByPhase(p.String())
-			if got, want := tl.UnionTime(f), referenceUnionTime(tl, f); got != want {
-				t.Fatalf("trial %d %v: UnionTime %v, reference %v",
-					trial, p, got, want)
+		for p := Compute; p < NumPhases; p++ {
+			got := tl.Records(p)
+			if len(got) != len(want[p]) {
+				t.Fatalf("trial %d %v: %d records, want %d", trial, p,
+					len(got), len(want[p]))
+			}
+			for i := range got {
+				if got[i] != want[p][i] {
+					t.Fatalf("trial %d %v record %d: %+v, want %+v", trial, p,
+						i, got[i], want[p][i])
+				}
 			}
 		}
+		ref := referenceUnionTime(log, all)
+		if got := tl.UnionTime(all); got != ref {
+			t.Fatalf("trial %d: UnionTime %v, reference %v", trial, got, ref)
+		}
+		if got := Length(Union(segs)); math.Float64bits(got) !=
+			math.Float64bits(float64(ref)) {
+			t.Fatalf("trial %d: Length(Union) %v, reference %v",
+				trial, got, ref)
+		}
+		for p := Compute; p < NumPhases; p++ {
+			f := ByPhase(phaseNames[p])
+			if got, ref := tl.UnionTime(f), referenceUnionTime(log, f); got != ref {
+				t.Fatalf("trial %d %v: UnionTime %v, reference %v",
+					trial, p, got, ref)
+			}
+		}
+	}
+}
+
+func TestRecordIs24Bytes(t *testing.T) {
+	if sz := unsafe.Sizeof(Record{}); sz != 24 {
+		t.Fatalf("Record is %d bytes, want 24", sz)
+	}
+}
+
+func TestNilTimelineHasNoRecords(t *testing.T) {
+	var tl *Timeline
+	if r := tl.Records(Comm); r != nil {
+		t.Fatalf("nil timeline records = %v", r)
 	}
 }
 

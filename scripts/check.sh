@@ -16,6 +16,11 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> perfbench module (go vet + go test; its own module, so ./... above skips it)"
+# perfbench builds against the timeline, task and serving APIs; vet and test
+# it here so an API change that breaks the benchmark fails CI.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "==> race hammer (sweep pool + monitor + faults + trace cache + serving + server, repeated runs)"
 go test -race -count=2 ./internal/sweep/... ./internal/monitor/... \
   ./internal/faults/... ./internal/tracecache/... ./internal/serving/... \
