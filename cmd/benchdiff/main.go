@@ -2,7 +2,9 @@
 // repo's performance trajectory: scripts/bench.sh pipes `go test -bench`
 // output through `-out` to snapshot name → ns/op, allocs/op into a
 // BENCH_<date>.json, and `-old`/`-new` compares two snapshots with a
-// tolerance gate.
+// tolerance gate. When a benchmark appears several times (`-count N`), the
+// snapshot keeps the median of each metric, which one slow run on a noisy
+// box cannot drag the way it drags a mean, plus the ns/op range.
 //
 // The allocation gate is strict (allocs/op is deterministic at any
 // -benchtime, so a pooling or hot-path regression shows up exactly); the
@@ -33,11 +35,14 @@ import (
 	"strconv"
 )
 
-// entry is one benchmark's recorded result.
+// entry is one benchmark's recorded result: the median over its runs, and
+// the fastest and slowest run's ns/op.
 type entry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
+	NsPerOpMin  float64 `json:"ns_per_op_min"`
+	NsPerOpMax  float64 `json:"ns_per_op_max"`
 }
 
 // snapshot is the BENCH_<date>.json schema.
@@ -55,11 +60,7 @@ type snapshot struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
 func parseBench(r io.Reader) (map[string]entry, error) {
-	type sum struct {
-		e entry
-		n int
-	}
-	acc := map[string]*sum{}
+	runs := map[string][]entry{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -84,28 +85,42 @@ func parseBench(r io.Reader) (map[string]entry, error) {
 				e.AllocsPerOp = v
 			}
 		}
-		s := acc[name]
-		if s == nil {
-			s = &sum{}
-			acc[name] = s
-		}
-		s.e.NsPerOp += e.NsPerOp
-		s.e.BytesPerOp += e.BytesPerOp
-		s.e.AllocsPerOp += e.AllocsPerOp
-		s.n++
+		runs[name] = append(runs[name], e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	out := map[string]entry{}
-	for name, s := range acc {
+	for name, es := range runs {
+		ns := metric(es, func(e entry) float64 { return e.NsPerOp })
 		out[name] = entry{
-			NsPerOp:     s.e.NsPerOp / float64(s.n),
-			BytesPerOp:  s.e.BytesPerOp / float64(s.n),
-			AllocsPerOp: s.e.AllocsPerOp / float64(s.n),
+			NsPerOp:     median(ns),
+			BytesPerOp:  median(metric(es, func(e entry) float64 { return e.BytesPerOp })),
+			AllocsPerOp: median(metric(es, func(e entry) float64 { return e.AllocsPerOp })),
+			NsPerOpMin:  ns[0],
+			NsPerOpMax:  ns[len(ns)-1],
 		}
 	}
 	return out, nil
+}
+
+// metric returns one field of every run, sorted ascending.
+func metric(es []entry, field func(entry) float64) []float64 {
+	vs := make([]float64, len(es))
+	for i, e := range es {
+		vs[i] = field(e)
+	}
+	sort.Float64s(vs)
+	return vs
+}
+
+// median of sorted vs; an even count averages the two middle values.
+func median(vs []float64) float64 {
+	m := len(vs) / 2
+	if len(vs)%2 == 0 {
+		return (vs[m-1] + vs[m]) / 2
+	}
+	return vs[m]
 }
 
 func splitFields(s string) []string {

@@ -24,7 +24,8 @@ func TestParseBench(t *testing.T) {
 	if len(benches) != 3 {
 		t.Fatalf("got %d benchmarks, want 3: %v", len(benches), benches)
 	}
-	// The GOMAXPROCS suffix is stripped; duplicate runs are averaged.
+	// The GOMAXPROCS suffix is stripped; duplicate runs give their median,
+	// which for two runs is their mean.
 	e, ok := benches["BenchmarkEventEngine"]
 	if !ok {
 		t.Fatalf("missing BenchmarkEventEngine (suffix not stripped?): %v",
@@ -131,5 +132,32 @@ func TestCompareTopRegressions(t *testing.T) {
 	compare(&buf, old, cand, gates{allocRatio: 100})
 	if strings.Contains(buf.String(), "top regressions") {
 		t.Fatalf("table printed with top=0:\n%s", buf.String())
+	}
+}
+
+// Repeated -count runs record the median of each metric, not the mean, so
+// one slow run does not move the snapshot, plus the ns/op range.
+func TestParseBenchMedianAndSpread(t *testing.T) {
+	const runs = `BenchmarkClusterStep/64gpus-2   1   100 ns/op   10 B/op   5 allocs/op
+BenchmarkClusterStep/64gpus-2   1   900 ns/op   30 B/op   7 allocs/op
+BenchmarkClusterStep/64gpus-2   1   200 ns/op   20 B/op   5 allocs/op
+BenchmarkOnce-2   1   50 ns/op   8 B/op   1 allocs/op
+`
+	benches, err := parseBench(strings.NewReader(runs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := entry{NsPerOp: 200, BytesPerOp: 20, AllocsPerOp: 5,
+		NsPerOpMin: 100, NsPerOpMax: 900}
+	if got := benches["BenchmarkClusterStep/64gpus"]; got != want {
+		t.Fatalf("three runs recorded as %+v, want median %+v", got, want)
+	}
+	want = entry{NsPerOp: 50, BytesPerOp: 8, AllocsPerOp: 1,
+		NsPerOpMin: 50, NsPerOpMax: 50}
+	if got := benches["BenchmarkOnce"]; got != want {
+		t.Fatalf("single run recorded as %+v, want %+v", got, want)
+	}
+	if len(benches) != 2 {
+		t.Fatalf("got %d benchmarks, want 2: %v", len(benches), benches)
 	}
 }

@@ -59,6 +59,7 @@ func (m MultiFlowObserver) RatesRecomputed(flows int, now sim.VTime) {
 //triosim:pooled
 type flow struct {
 	id        int
+	pos       int // index in FlowNetwork.live; -1 when not in flight
 	route     []DirLink
 	remaining float64
 	bytes     float64 // original transfer size
@@ -133,16 +134,11 @@ type FlowNetwork struct {
 	// sizes").
 	RampBytes float64
 
-	flows map[int]*flow
-	// ordered holds the in-flight flows in ascending id order. Anything that
-	// schedules events or produces output per flow must go in ascending id
-	// order — this slice, or a subset sorted by id — never in the flows
-	// map's order: same-timestamp events tie-break on scheduling sequence,
-	// so map iteration order would leak into the simulated schedule
-	// (triosimvet: map-range-order). ids are assigned monotonically, so
-	// appends keep it sorted without re-sorting.
-	ordered []*flow
-	nextID  int
+	// live is the in-flight set, in no order: each flow records its index,
+	// so completion swap-removes it in O(1). Same-time events tie-break on
+	// sequence, so anything scheduling events per flow sorts by id first.
+	live   []*flow
+	nextID int
 	// recomputePending coalesces same-timestamp flow arrivals/departures
 	// into one max-min reallocation (a secondary event), so an 84-rank ring
 	// step triggers one recompute instead of 84. Virtual-time semantics are
@@ -225,7 +221,6 @@ func NewFlowNetwork(eng sim.Engine, topo *Topology) *FlowNetwork {
 	return &FlowNetwork{
 		eng:   eng,
 		topo:  topo,
-		flows: map[int]*flow{},
 		links: make([]*linkState, 2*len(topo.Links)),
 	}
 }
@@ -236,7 +231,7 @@ var _ Network = (*FlowNetwork)(nil)
 func (n *FlowNetwork) Topology() *Topology { return n.topo }
 
 // InFlight returns the number of active flows.
-func (n *FlowNetwork) InFlight() int { return len(n.flows) }
+func (n *FlowNetwork) InFlight() int { return len(n.live) }
 
 // Send starts a transfer of bytes from src to dst. onDone fires at delivery.
 // Local transfers (src == dst) complete immediately.
@@ -275,8 +270,8 @@ func (n *FlowNetwork) Send(src, dst NodeID, bytes float64,
 	f.onDone = onDone
 	f.schedRate = 0
 	f.lastAdv = now
-	n.flows[f.id] = f
-	n.ordered = append(n.ordered, f)
+	f.pos = len(n.live)
+	n.live = append(n.live, f)
 	n.attachLinks(f)
 	n.scheduleReallocate(now)
 }
@@ -298,6 +293,7 @@ func (n *FlowNetwork) acquireFlow() *flow {
 func (n *FlowNetwork) releaseFlow(f *flow) {
 	f.onDone = nil
 	f.route = nil
+	f.pos = -1
 	n.freeFlows = append(n.freeFlows, f)
 }
 
@@ -317,15 +313,19 @@ func (n *FlowNetwork) attachLinks(f *flow) {
 	}
 }
 
-// detachLinks removes f from its route's link sets and from the ordered
-// slice, preserving order, and records the route links as touched.
+// detachLinks removes f from its route's link sets, preserving their order,
+// and from the in-flight set, and records the route links as touched.
 func (n *FlowNetwork) detachLinks(f *flow) {
 	for _, dl := range f.route {
 		st := n.linkFor(dl)
 		st.flows = removeFlow(st.flows, f)
 		n.touched = append(n.touched, st)
 	}
-	n.ordered = removeFlow(n.ordered, f)
+	last := len(n.live) - 1
+	n.live[f.pos] = n.live[last]
+	n.live[f.pos].pos = f.pos
+	n.live[last] = nil
+	n.live = n.live[:last]
 }
 
 // denseIndex maps a directed link to its slot in FlowNetwork.links: the
@@ -388,7 +388,7 @@ func (n *FlowNetwork) scheduleReallocate(now sim.VTime) {
 		n.recomputePending = false
 		n.reallocate(t)
 		if n.Observer != nil {
-			n.Observer.RatesRecomputed(len(n.flows), t)
+			n.Observer.RatesRecomputed(len(n.live), t)
 		}
 		return nil
 	})
@@ -458,13 +458,11 @@ func (n *FlowNetwork) reallocate(now sim.VTime) {
 }
 
 // completeFlow finalizes a flow when its delivery event fires, unless the
-// event was superseded by a reallocation.
+// event was superseded by a reallocation or predates the flow's recycling.
 func (n *FlowNetwork) completeFlow(f *flow, gen int, now sim.VTime) {
-	cur, ok := n.flows[f.id]
-	if !ok || cur != f || f.gen != gen {
+	if f.gen != gen || f.pos < 0 {
 		return // stale event
 	}
-	delete(n.flows, f.id)
 	n.detachLinks(f)
 	if n.Observer != nil {
 		n.Observer.FlowFinished(f.route, f.bytes, f.start, now)
@@ -585,9 +583,11 @@ func (n *FlowNetwork) computeRates() {
 
 // gatherAll collects every in-flight flow and every link they cross into
 // the solve scratch (the full re-solve the historical allocator always did).
+// The in-flight set's order is harmless: the heap's (fair, sortKey) order is
+// total and reallocate sorts what it reschedules.
 func (n *FlowNetwork) gatherAll(gen int) {
 	n.touched = n.touched[:0] // this solve covers every pending change
-	for _, f := range n.ordered {
+	for _, f := range n.live {
 		f.seen = gen
 		n.scratchFlows = append(n.scratchFlows, f) //triosim:nolint hotpath-alloc -- reused scratch buffer, grows to steady-state size once
 		for _, dl := range f.route {
@@ -715,8 +715,8 @@ func (n *FlowNetwork) RatesInto(dst map[int]float64) {
 	for id := range dst {
 		delete(dst, id)
 	}
-	for id, f := range n.flows {
-		dst[id] = f.rate
+	for _, f := range n.live {
+		dst[f.id] = f.rate
 	}
 }
 

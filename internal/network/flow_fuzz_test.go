@@ -18,7 +18,7 @@ func checkMaxMinInvariants(t *testing.T, net *FlowNetwork) {
 	t.Helper()
 	usage := map[DirLink]float64{}
 	flowsOn := map[DirLink][]*flow{}
-	for _, f := range net.ordered {
+	for _, f := range net.live {
 		if f.rate <= 0 {
 			t.Fatalf("flow %d starved", f.id)
 		}
@@ -33,7 +33,7 @@ func checkMaxMinInvariants(t *testing.T, net *FlowNetwork) {
 			t.Fatalf("link %v overcommitted: %g > %g", dl, u, cap)
 		}
 	}
-	for _, f := range net.ordered {
+	for _, f := range net.live {
 		bottlenecked := false
 		for _, dl := range f.route {
 			cap := net.topo.Links[dl.Link].Bandwidth
@@ -135,7 +135,7 @@ func FuzzComputeRates(f *testing.F) {
 		// The incremental state must also agree with a from-scratch solve.
 		want := referenceRates(net)
 		net.computeRates()
-		for _, fl := range net.ordered {
+		for _, fl := range net.live {
 			if fl.rate != want[fl.id] {
 				t.Fatalf("flow %d rate %g != reference %g",
 					fl.id, fl.rate, want[fl.id])

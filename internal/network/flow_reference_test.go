@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -90,13 +91,15 @@ func maxMinFromScratch(topo *Topology, routes [][]DirLink) []float64 {
 // capacity resets, same freeze order, same charge order — so comparisons
 // against it use ==, not a tolerance.
 func referenceRates(net *FlowNetwork) map[int]float64 {
-	routes := make([][]DirLink, len(net.ordered))
-	for i, f := range net.ordered { // ascending flow id
+	byID := slices.Clone(net.live)
+	slices.SortFunc(byID, func(a, b *flow) int { return a.id - b.id })
+	routes := make([][]DirLink, len(byID))
+	for i, f := range byID {
 		routes[i] = f.route
 	}
 	rates := map[int]float64{}
 	for i, r := range maxMinFromScratch(net.topo, routes) {
-		rates[net.ordered[i].id] = r
+		rates[byID[i].id] = r
 	}
 	return rates
 }

@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"triosim/internal/sim"
@@ -22,7 +23,7 @@ func (o *rateOracle) RatesRecomputed(_ int, now sim.VTime) {
 		return
 	}
 	want := referenceRates(o.net)
-	for _, f := range o.net.ordered {
+	for _, f := range o.net.live {
 		if f.rate != want[f.id] {
 			o.err = fmt.Errorf("at %v: flow %d rate %g != reference %g",
 				now, f.id, f.rate, want[f.id])
@@ -100,11 +101,11 @@ func TestPartitionedSolveMatchesReferenceOnTieredTopo(t *testing.T) {
 
 		want := referenceRates(net)
 		net.computeRates()
-		if len(want) != len(net.flows) {
+		if len(want) != len(net.live) {
 			t.Fatalf("trial %d: reference solved %d flows, have %d",
-				trial, len(want), len(net.flows))
+				trial, len(want), len(net.live))
 		}
-		for _, f := range net.ordered {
+		for _, f := range net.live {
 			if f.rate != want[f.id] {
 				t.Fatalf("trial %d: flow %d rate %g != reference %g",
 					trial, f.id, f.rate, want[f.id])
@@ -219,5 +220,201 @@ func TestRatesInto(t *testing.T) {
 		if got[id] != r {
 			t.Fatalf("flow %d: RatesInto %g != Rates %g", id, got[id], r)
 		}
+	}
+}
+
+// checkInFlightSet asserts the in-flight set's bookkeeping: every live flow
+// sits at its own position, and the set holds exactly want flows.
+func checkInFlightSet(net *FlowNetwork, want int) error {
+	for i, f := range net.live {
+		if f.pos != i {
+			return fmt.Errorf("flow %d at index %d records position %d",
+				f.id, i, f.pos)
+		}
+	}
+	if net.InFlight() != want || len(net.live) != want {
+		return fmt.Errorf("InFlight %d, live %d, want %d",
+			net.InFlight(), len(net.live), want)
+	}
+	return nil
+}
+
+// liveByID reports whether the in-flight set happens to be in ascending id
+// order (false once a swap-remove has reordered it).
+func liveByID(net *FlowNetwork) bool {
+	return slices.IsSortedFunc(net.live, func(a, b *flow) int {
+		return a.id - b.id
+	})
+}
+
+// churnOracle checks, after every solve, the in-flight set against the
+// flows sent and not yet finished, and RatesInto against the from-scratch
+// reference solve, bit for bit.
+type churnOracle struct {
+	net              *FlowNetwork
+	sent, finished   int
+	unsorted, solves int
+	rates            map[int]float64
+	err              error
+}
+
+func (o *churnOracle) FlowFinished([]DirLink, float64, sim.VTime, sim.VTime) {
+	o.finished++
+}
+
+func (o *churnOracle) RatesRecomputed(flows int, now sim.VTime) {
+	o.solves++
+	if o.err != nil {
+		return
+	}
+	if !liveByID(o.net) {
+		o.unsorted++
+	}
+	if err := checkInFlightSet(o.net, o.sent-o.finished); err != nil {
+		o.err = fmt.Errorf("at %v: %w", now, err)
+		return
+	}
+	if flows != o.net.InFlight() {
+		o.err = fmt.Errorf("at %v: observer told %d flows, %d in flight",
+			now, flows, o.net.InFlight())
+		return
+	}
+	o.net.RatesInto(o.rates)
+	want := referenceRates(o.net)
+	if len(o.rates) != len(want) {
+		o.err = fmt.Errorf("at %v: RatesInto has %d flows, reference %d",
+			now, len(o.rates), len(want))
+		return
+	}
+	for id, r := range want {
+		if got, ok := o.rates[id]; !ok || got != r {
+			o.err = fmt.Errorf("at %v: flow %d RatesInto %g (present %v), "+
+				"reference %g", now, id, got, ok, r)
+			return
+		}
+	}
+}
+
+// Seeded churn: random sends, plus follow-up sends launched from delivery
+// callbacks, complete out of id order, so completion swap-removes reorder
+// the in-flight set. After every solve each live flow's recorded position
+// must match its index, InFlight must equal the flows sent and not yet
+// finished, and RatesInto must equal the reference solve.
+func TestInFlightSetChurnProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	unsorted := 0
+	for trial := 0; trial < 30; trial++ {
+		eng := sim.NewSerialEngine()
+		topo := RailFatTree(clusterCfg(4, 2), 2, 2)
+		gpus := topo.GPUs()
+		net := NewFlowNetwork(eng, topo)
+		o := &churnOracle{net: net, rates: map[int]float64{}}
+		net.Observer = o
+		delivered, budget := 0, 40
+		var send func()
+		send = func() {
+			src := gpus[rng.Intn(len(gpus))]
+			dst := gpus[rng.Intn(len(gpus))]
+			for dst == src {
+				dst = gpus[rng.Intn(len(gpus))]
+			}
+			bytes := float64(1+rng.Intn(400)) * 1e7
+			o.sent++
+			net.Send(src, dst, bytes, func(sim.VTime) {
+				delivered++
+				if budget > 0 && rng.Intn(2) == 0 {
+					budget--
+					send()
+				}
+			})
+		}
+		for i, n := 0, 8+rng.Intn(24); i < n; i++ {
+			at := sim.VTime(rng.Float64()) * 100 * sim.MSec
+			eng.Schedule(sim.NewFuncEvent(at, func(sim.VTime) error {
+				send()
+				return nil
+			}))
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if o.err != nil {
+			t.Fatalf("trial %d: %v", trial, o.err)
+		}
+		if err := checkInFlightSet(net, 0); err != nil {
+			t.Fatalf("trial %d after drain: %v", trial, err)
+		}
+		if o.finished != o.sent || delivered != o.sent {
+			t.Fatalf("trial %d: sent %d, finished %d, delivered %d",
+				trial, o.sent, o.finished, delivered)
+		}
+		unsorted += o.unsorted
+	}
+	if unsorted == 0 {
+		t.Fatal("no solve ever saw the in-flight set out of id order; " +
+			"the churn does not exercise swap-removal")
+	}
+}
+
+// A capacity change forces gatherAll's full re-solve, which walks the
+// in-flight set in its own (not id) order. After out-of-order completions
+// have shuffled that set, every rate of the full re-solve must still equal
+// the from-scratch reference bit for bit.
+func TestFullResolveAfterOutOfOrderCompletions(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	eng := sim.NewSerialEngine()
+	topo := Switch(cfg(8))
+	gpus := topo.GPUs()
+	net := NewFlowNetwork(eng, topo)
+	o := &churnOracle{net: net, rates: map[int]float64{}}
+	net.Observer = o
+	const flows = 24
+	for i := 0; i < flows; i++ {
+		src := gpus[rng.Intn(len(gpus))]
+		dst := gpus[rng.Intn(len(gpus))]
+		for dst == src {
+			dst = gpus[rng.Intn(len(gpus))]
+		}
+		// Later flows are smaller, so they tend to finish first.
+		o.sent++
+		net.Send(src, dst, float64(flows+1-i)*1e8, func(sim.VTime) {})
+	}
+	fullSolves := 0
+	eng.Schedule(sim.NewFuncEvent(40*sim.MSec, func(now sim.VTime) error {
+		if o.finished == 0 || liveByID(net) {
+			t.Fatalf("precondition: %d finished, in-flight set in id order "+
+				"%v; the change must follow out-of-order completions",
+				o.finished, liveByID(net))
+		}
+		for l := range topo.Links {
+			if l%3 == 0 {
+				topo.SetLinkBandwidth(l, topo.Links[l].Bandwidth*0.7)
+			}
+		}
+		net.RefreshRates()
+		solvedBefore, liveAtChange := net.SolvedFlows, net.InFlight()
+		// Runs after the re-solve RefreshRates just scheduled: that solve
+		// must have covered every in-flight flow (the full path).
+		sim.ScheduleSecondaryFunc(eng, now, func(sim.VTime) error {
+			if got := net.SolvedFlows - solvedBefore; got != liveAtChange {
+				t.Fatalf("re-solve after the change covered %d flows, "+
+					"%d in flight", got, liveAtChange)
+			}
+			fullSolves++
+			return nil
+		})
+		return nil
+	}))
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if fullSolves != 1 {
+		t.Fatalf("capacity change handled %d times, want 1", fullSolves)
+	}
+	if o.finished != flows {
+		t.Fatalf("%d of %d flows finished", o.finished, flows)
 	}
 }

@@ -244,7 +244,7 @@ func TestMaxMinInvariantsProperty(t *testing.T) {
 		}
 		usage := map[DirLink]float64{}
 		flowsOn := map[DirLink][]*flow{}
-		for _, f := range net.flows {
+		for _, f := range net.live {
 			if f.rate <= 0 {
 				t.Fatalf("trial %d: flow starved", trial)
 			}
@@ -260,7 +260,7 @@ func TestMaxMinInvariantsProperty(t *testing.T) {
 					trial, dl, u, cap)
 			}
 		}
-		for _, f := range net.flows {
+		for _, f := range net.live {
 			bottlenecked := false
 			for _, dl := range f.route {
 				cap := topo.Links[dl.Link].Bandwidth
@@ -396,11 +396,11 @@ func TestMaxMinMatchesReferenceSolve(t *testing.T) {
 
 		want := referenceRates(net)
 		net.computeRates()
-		if len(want) != len(net.flows) {
+		if len(want) != len(net.live) {
 			t.Fatalf("trial %d: reference solved %d flows, have %d",
-				trial, len(want), len(net.flows))
+				trial, len(want), len(net.live))
 		}
-		for _, f := range net.ordered {
+		for _, f := range net.live {
 			if f.rate != want[f.id] {
 				t.Fatalf("trial %d: flow %d rate %g != reference %g",
 					trial, f.id, f.rate, want[f.id])

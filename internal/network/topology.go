@@ -14,7 +14,6 @@ package network
 
 import (
 	"fmt"
-	"sort"
 
 	"triosim/internal/sim"
 )
@@ -77,7 +76,9 @@ type Topology struct {
 	Nodes []Node
 	Links []Link
 
-	adj        map[NodeID][]int // node -> incident link IDs
+	// adj lists each node's incident link IDs by NodeID, ascending: AddLink
+	// appends IDs as it assigns them. The order is the BFS tie-break.
+	adj        [][]int
 	routeCache map[[2]NodeID][]DirLink
 
 	// router, when set by a hierarchical generator, computes shortest
@@ -97,10 +98,7 @@ type Topology struct {
 
 // NewTopology returns an empty topology.
 func NewTopology() *Topology {
-	return &Topology{
-		adj:        map[NodeID][]int{},
-		routeCache: map[[2]NodeID][]DirLink{},
-	}
+	return &Topology{routeCache: map[[2]NodeID][]DirLink{}}
 }
 
 // AddNode appends a node and returns its ID. The node starts unassigned to
@@ -109,6 +107,7 @@ func (t *Topology) AddNode(name string, kind NodeKind) NodeID {
 	id := NodeID(len(t.Nodes))
 	t.Nodes = append(t.Nodes, Node{ID: id, Name: name, Kind: kind,
 		Machine: -1})
+	t.adj = append(t.adj, nil)
 	return id
 }
 
@@ -205,50 +204,48 @@ func (t *Topology) Route(src, dst NodeID) ([]DirLink, error) {
 			return r, nil
 		}
 	}
+	route, err := t.bfs(src, dst)
+	if err == nil {
+		t.routeCache[key] = route
+	}
+	return route, err
+}
 
-	// BFS with deterministic neighbor ordering.
-	prev := map[NodeID]DirLink{}
-	visited := map[NodeID]bool{src: true}
-	queue := []NodeID{src}
-	for len(queue) > 0 && !visited[dst] {
-		n := queue[0]
-		queue = queue[1:]
+// bfs finds a minimum-hop src→dst path, expanding each node's links in
+// ascending ID order. via[m] is 1 + the link that reached node m (0 while
+// unreached): one int32 per node serves as visited set and predecessor.
+func (t *Topology) bfs(src, dst NodeID) ([]DirLink, error) {
+	via := make([]int32, len(t.Nodes))
+	via[src] = -1
+	queue := append(make([]NodeID, 0, len(t.Nodes)), src)
+	for head := 0; head < len(queue) && via[dst] == 0; head++ {
+		n := queue[head]
 		// Hosts are endpoints, never transit: GPU↔GPU traffic must not
 		// shortcut through the host's staging links.
 		if t.Nodes[n].Kind == HostNode && n != src {
 			continue
 		}
-		links := append([]int(nil), t.adj[n]...)
-		sort.Ints(links)
-		for _, l := range links {
-			m := t.Neighbor(l, n)
-			if visited[m] {
-				continue
+		for _, l := range t.adj[n] {
+			if m := t.Neighbor(l, n); via[m] == 0 {
+				via[m] = int32(l) + 1
+				queue = append(queue, m)
 			}
-			visited[m] = true
-			prev[m] = DirLink{Link: l, Forward: t.Links[l].A == n}
-			queue = append(queue, m)
 		}
 	}
-	if !visited[dst] {
+	if via[dst] == 0 {
 		return nil, fmt.Errorf("network: no route %d→%d", src, dst)
 	}
-
-	var rev []DirLink
-	for n := dst; n != src; {
-		dl := prev[n]
-		rev = append(rev, dl)
-		if dl.Forward {
-			n = t.Links[dl.Link].A
-		} else {
-			n = t.Links[dl.Link].B
-		}
+	hops := 0
+	for n := dst; n != src; n = t.Neighbor(int(via[n]-1), n) {
+		hops++
 	}
-	route := make([]DirLink, len(rev))
-	for i := range rev {
-		route[i] = rev[len(rev)-1-i]
+	route := make([]DirLink, hops)
+	for n, i := dst, hops-1; i >= 0; i-- {
+		l := int(via[n] - 1)
+		p := t.Neighbor(l, n)
+		route[i] = DirLink{Link: l, Forward: t.Links[l].A == p}
+		n = p
 	}
-	t.routeCache[key] = route
 	return route, nil
 }
 

@@ -1,7 +1,10 @@
 package network
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -194,5 +197,130 @@ func TestSetLinkBandwidth(t *testing.T) {
 	topo.SetLinkBandwidth(0, 42)
 	if topo.Links[0].Bandwidth != 42 {
 		t.Fatal("SetLinkBandwidth did not apply")
+	}
+}
+
+// mapBFSRoute is the map-based breadth-first search Topology.Route used
+// before the slice-indexed one, kept as the reference: it rebuilds the
+// map adjacency from the link list and copies and sorts each node's links
+// before expanding it.
+func mapBFSRoute(t *Topology, src, dst NodeID) ([]DirLink, error) {
+	adj := map[NodeID][]int{}
+	for _, lk := range t.Links {
+		adj[lk.A] = append(adj[lk.A], lk.ID)
+		adj[lk.B] = append(adj[lk.B], lk.ID)
+	}
+	prev := map[NodeID]DirLink{}
+	visited := map[NodeID]bool{src: true}
+	queue := []NodeID{src}
+	for len(queue) > 0 && !visited[dst] {
+		n := queue[0]
+		queue = queue[1:]
+		if t.Nodes[n].Kind == HostNode && n != src {
+			continue
+		}
+		links := append([]int(nil), adj[n]...)
+		sort.Ints(links)
+		for _, l := range links {
+			m := t.Neighbor(l, n)
+			if visited[m] {
+				continue
+			}
+			visited[m] = true
+			prev[m] = DirLink{Link: l, Forward: t.Links[l].A == n}
+			queue = append(queue, m)
+		}
+	}
+	if !visited[dst] {
+		return nil, fmt.Errorf("network: no route %d→%d", src, dst)
+	}
+	var rev []DirLink
+	for n := dst; n != src; {
+		dl := prev[n]
+		rev = append(rev, dl)
+		if dl.Forward {
+			n = t.Links[dl.Link].A
+		} else {
+			n = t.Links[dl.Link].B
+		}
+	}
+	route := make([]DirLink, len(rev))
+	for i := range rev {
+		route[i] = rev[len(rev)-1-i]
+	}
+	return route, nil
+}
+
+// everyBuilder returns a small instance of every topology builder, plus a
+// topology with an unreachable GPU.
+func everyBuilder() map[string]*Topology {
+	c := cfg(8)
+	island := Switch(cfg(3))
+	island.AddNode("gpu-island", GPUNode)
+	return map[string]*Topology{
+		"ring":        Ring(c),
+		"switch":      Switch(c),
+		"pcie":        PCIeTree(c),
+		"mesh":        Mesh(3, 4, c),
+		"chords":      RingWithChords(c),
+		"double-ring": DoubleRing(c),
+		"hypercube":   Hypercube(3, c),
+		"torus":       Torus(3, 3, c),
+		"railfattree": RailFatTree(clusterCfg(6, 4), 2, 2),
+		"dragonfly":   Dragonfly(clusterCfg(8, 2), 4),
+		"torus3d":     Torus3D(clusterCfg(0, 2), 2, 3, 2),
+		"island":      island,
+	}
+}
+
+// AddLink appends link IDs as it assigns them, so every adjacency list is
+// ascending; the BFS relies on that for its link-ID tie-break.
+func TestAdjacencyListsAscending(t *testing.T) {
+	for name, topo := range everyBuilder() {
+		for n := range topo.Nodes {
+			if links := topo.LinksOf(NodeID(n)); !sort.IntsAreSorted(links) {
+				t.Fatalf("%s: node %d links %v not ascending", name, n, links)
+			}
+		}
+	}
+}
+
+// The slice-indexed BFS must return exactly the map-based BFS's route —
+// same links, same directions, same tie-breaks — for every GPU↔GPU and
+// host↔GPU pair on every builder, and fail on the same unreachable pairs.
+func TestBFSMatchesMapReference(t *testing.T) {
+	for name, topo := range everyBuilder() {
+		var gpus, hosts []NodeID
+		for _, n := range topo.Nodes {
+			switch n.Kind {
+			case GPUNode:
+				gpus = append(gpus, n.ID)
+			case HostNode:
+				hosts = append(hosts, n.ID)
+			}
+		}
+		check := func(a, b NodeID) {
+			got, gotErr := topo.bfs(a, b)
+			want, wantErr := mapBFSRoute(topo, a, b)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%s %d→%d: error %v, reference error %v",
+					name, a, b, gotErr, wantErr)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s %d→%d: route %v, reference %v",
+					name, a, b, got, want)
+			}
+		}
+		for _, a := range gpus {
+			for _, b := range gpus {
+				if a != b {
+					check(a, b)
+				}
+			}
+			for _, h := range hosts {
+				check(h, a)
+				check(a, h)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"reflect"
 )
 
 // FNV-1a constants (64-bit).
@@ -19,11 +20,19 @@ const (
 // the triosimvet static analyzers.
 //
 // Each event is labelled by the dynamic types of the event and its handler,
-// which are stable across runs of a binary.
+// which are stable across runs of a binary: the fmt.Sprintf("%T/%T") string,
+// computed once per type pair rather than on every dispatch.
 type DigestHook struct {
 	digest uint64
 	count  uint64
+	// names memoizes the label of every (event, handler) type pair seen so
+	// far other than funcEvent's, which is the constant funcEventName.
+	names map[[2]reflect.Type]string
 }
+
+// funcEventName labels every funcEvent, pooled or not: its handler is always
+// the cached sim.HandlerFunc method value.
+var funcEventName = fmt.Sprintf("%T/%T", (*funcEvent)(nil), HandlerFunc(nil))
 
 // NewDigestHook returns a hook with an empty digest.
 func NewDigestHook() *DigestHook {
@@ -39,11 +48,30 @@ func (d *DigestHook) Func(ctx HookCtx) {
 	}
 	d.foldUint64(math.Float64bits(float64(ctx.Now)))
 	if e, ok := ctx.Item.(Event); ok {
-		d.foldString(fmt.Sprintf("%T/%T", e, e.Handler()))
+		d.foldString(d.eventName(e))
 		d.foldUint64(uint64(boolBit(e.IsSecondary())))
 	}
 	d.foldUint64(d.count)
 	d.count++
+}
+
+// eventName returns fmt.Sprintf("%T/%T", e, e.Handler()), computing it once
+// per dynamic type pair.
+func (d *DigestHook) eventName(e Event) string {
+	if _, ok := e.(*funcEvent); ok {
+		return funcEventName
+	}
+	h := e.Handler()
+	key := [2]reflect.Type{reflect.TypeOf(e), reflect.TypeOf(h)}
+	if name, ok := d.names[key]; ok {
+		return name
+	}
+	if d.names == nil {
+		d.names = map[[2]reflect.Type]string{}
+	}
+	name := fmt.Sprintf("%T/%T", e, h)
+	d.names[key] = name
+	return name
 }
 
 // Sum64 returns the digest over all events folded so far.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -102,3 +104,79 @@ func TestDigestDiffersAcrossSchedules(t *testing.T) {
 		t.Fatal("different schedules produced the same digest")
 	}
 }
+
+// namedEvent and namedHandler are a custom event/handler type pair outside
+// the funcEvent fast path.
+type namedEvent struct{ EventBase }
+
+type namedHandler struct{ handled int }
+
+func (h *namedHandler) Handle(Event) error { h.handled++; return nil }
+
+// otherEvent shares namedHandler, so the name cache must key on both types.
+type otherEvent struct{ EventBase }
+
+// TestDigestEventNameMatchesSprintf checks that the memoized label of every
+// event kind — pooled and unpooled funcEvents, primary and secondary, and
+// custom EventBase events — equals the fmt.Sprintf("%T/%T") string the digest
+// has always folded, and that the whole digest equals one folded from those
+// strings.
+func TestDigestEventNameMatchesSprintf(t *testing.T) {
+	eng := NewSerialEngine()
+	d := NewDigestHook()
+	ref := NewDigestHook()
+	seen := map[string]int{}
+	eng.RegisterHook(d)
+	eng.RegisterHook(HookFunc(func(ctx HookCtx) {
+		if ctx.Pos != HookPosBeforeEvent {
+			return
+		}
+		e := ctx.Item.(Event)
+		want := fmt.Sprintf("%T/%T", e, e.Handler())
+		if got := d.eventName(e); got != want {
+			t.Errorf("event %T: memoized name %q, want %q", e, got, want)
+		}
+		seen[want]++
+		// The digest as it was folded before names were memoized.
+		ref.foldUint64(math.Float64bits(float64(ctx.Now)))
+		ref.foldString(want)
+		ref.foldUint64(uint64(boolBit(e.IsSecondary())))
+		ref.foldUint64(ref.count)
+		ref.count++
+	}))
+	h := &namedHandler{}
+	noop := func(VTime) error { return nil }
+	for i := 0; i < 2; i++ { // twice, so the second pass reads the cache
+		at := VTime(i+1) * MSec
+		ScheduleFunc(eng, at, noop)
+		ScheduleSecondaryFunc(eng, at, noop)
+		eng.Schedule(NewFuncEvent(at, noop))
+		eng.Schedule(NewSecondaryFuncEvent(at, noop))
+		eng.Schedule(&namedEvent{NewEventBase(at, h)})
+		eng.Schedule(&otherEvent{NewEventBase(at, h)})
+		eng.Schedule(&namedEvent{EventBase{EventTime: at,
+			EventHdl: HandlerFunc(noopHandler), Secondary: true}})
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{
+		"*sim.funcEvent/sim.HandlerFunc":    8,
+		"*sim.namedEvent/*sim.namedHandler": 2,
+		"*sim.otherEvent/*sim.namedHandler": 2,
+		"*sim.namedEvent/sim.HandlerFunc":   2,
+	}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("event names %v, want %v", seen, want)
+	}
+	if len(d.names) != 3 {
+		t.Fatalf("name cache holds %d pairs, want 3 (funcEvent is uncached)",
+			len(d.names))
+	}
+	if d.Sum64() != ref.Sum64() || d.Count() != ref.Count() {
+		t.Fatalf("digest %#x (%d events), Sprintf reference %#x (%d events)",
+			d.Sum64(), d.Count(), ref.Sum64(), ref.Count())
+	}
+}
+
+func noopHandler(Event) error { return nil }

@@ -42,7 +42,7 @@ type queuedEvent struct {
 // SerialEngine is a single-goroutine Engine. All simulated components run in
 // the goroutine that calls Run, so they need no internal locking.
 type SerialEngine struct {
-	queue      heap4[queuedEvent]
+	queue      eventQueue
 	now        VTime
 	seq        uint64
 	dispatched uint64

@@ -1,13 +1,14 @@
 package sim
 
-// This file is the engine's specialized event queue: a hand-rolled generic
-// 4-ary min-heap over queuedEvent values. It replaces container/heap, whose
+// This file is the engine's specialized event queue: a hand-rolled 4-ary
+// min-heap over queuedEvent values. It replaces container/heap, whose
 // Push(x any)/Pop() any interface boxes every queuedEvent on the heap's hot
 // path (one allocation per scheduled event) and whose binary layout costs one
 // extra comparison level for every doubling of the queue. The 4-ary layout
 // halves the tree depth, the concrete element type removes the boxing and the
-// Less/Swap interface calls, and the (time, secondary, seq) key is cached in
-// the element so ordering never calls back into the Event interface.
+// Less/Swap interface calls (and lets the compiler inline before into the
+// sift loops), and the (time, secondary, seq) key is cached in the element so
+// ordering never calls back into the Event interface.
 //
 // The total order is exactly the one the engine has always used — event time,
 // then primary-before-secondary, then insertion sequence — so the dispatch
@@ -27,27 +28,23 @@ func (a queuedEvent) before(b queuedEvent) bool {
 	return a.seq < b.seq
 }
 
-// heapOrdered is the element constraint for heap4: the type supplies its own
-// strict ordering.
-type heapOrdered[T any] interface{ before(T) bool }
-
-// heap4 is a generic 4-ary min-heap. Children of node i live at 4i+1..4i+4;
-// the parent of node i is (i-1)/4. The zero value is an empty, ready-to-use
-// heap.
-type heap4[T heapOrdered[T]] struct {
-	items []T
+// eventQueue is a 4-ary min-heap of queued events. Children of node i live at
+// 4i+1..4i+4; the parent of node i is (i-1)/4. The zero value is an empty,
+// ready-to-use queue.
+type eventQueue struct {
+	items []queuedEvent
 }
 
-func (h *heap4[T]) len() int { return len(h.items) }
+func (h *eventQueue) len() int { return len(h.items) }
 
 // peek returns the minimum element without removing it. Undefined on an
-// empty heap (callers check len first).
-func (h *heap4[T]) peek() T { return h.items[0] }
+// empty queue (callers check len first).
+func (h *eventQueue) peek() queuedEvent { return h.items[0] }
 
 // push inserts v, keeping the heap property.
 //
 //triosim:hotpath
-func (h *heap4[T]) push(v T) {
+func (h *eventQueue) push(v queuedEvent) {
 	h.items = append(h.items, v) //triosim:nolint hotpath-alloc -- amortized: the heap's backing array doubles until the queue's high-water mark, then is reused
 	h.siftUp(len(h.items) - 1)
 }
@@ -55,12 +52,11 @@ func (h *heap4[T]) push(v T) {
 // pop removes and returns the minimum element.
 //
 //triosim:hotpath
-func (h *heap4[T]) pop() T {
+func (h *eventQueue) pop() queuedEvent {
 	root := h.items[0]
 	n := len(h.items) - 1
 	h.items[0] = h.items[n]
-	var zero T
-	h.items[n] = zero // release references held by the vacated slot
+	h.items[n] = queuedEvent{} // release the event held by the vacated slot
 	h.items = h.items[:n]
 	if n > 1 {
 		h.siftDown(0)
@@ -71,13 +67,14 @@ func (h *heap4[T]) pop() T {
 // siftUp restores the heap property upward from slot i.
 //
 //triosim:hotpath
-func (h *heap4[T]) siftUp(i int) {
+func (h *eventQueue) siftUp(i int) {
+	items := h.items
 	for i > 0 {
 		p := (i - 1) / 4
-		if !h.items[i].before(h.items[p]) {
+		if !items[i].before(items[p]) {
 			return
 		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
+		items[i], items[p] = items[p], items[i]
 		i = p
 	}
 }
@@ -85,8 +82,9 @@ func (h *heap4[T]) siftUp(i int) {
 // siftDown restores the heap property downward from slot i.
 //
 //triosim:hotpath
-func (h *heap4[T]) siftDown(i int) {
-	n := len(h.items)
+func (h *eventQueue) siftDown(i int) {
+	items := h.items
+	n := len(items)
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -98,14 +96,14 @@ func (h *heap4[T]) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if h.items[c].before(h.items[min]) {
+			if items[c].before(items[min]) {
 				min = c
 			}
 		}
-		if !h.items[min].before(h.items[i]) {
+		if !items[min].before(items[i]) {
 			return
 		}
-		h.items[i], h.items[min] = h.items[min], h.items[i]
+		items[i], items[min] = items[min], items[i]
 		i = min
 	}
 }

@@ -48,7 +48,7 @@ func sameKey(a, b queuedEvent) bool {
 func TestQueueMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
-		var h4 heap4[queuedEvent]
+		var h4 eventQueue
 		ref := &refHeap{}
 		var seq uint64
 		ops := 1 + rng.Intn(400)
@@ -96,7 +96,7 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 // strictly increasing in the (time, secondary, seq) total order.
 func TestQueuePopOrderIsTotal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var h4 heap4[queuedEvent]
+	var h4 eventQueue
 	for seq := uint64(1); seq <= 1000; seq++ {
 		h4.push(queuedEvent{
 			time:      VTime(rng.Intn(10)) * USec,
@@ -145,7 +145,7 @@ func FuzzEventQueueOrder(f *testing.F) {
 	f.Add(ringCollectiveSeed(8, 2))
 	f.Add([]byte{0, 0, 0x80, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		var h4 heap4[queuedEvent]
+		var h4 eventQueue
 		ref := &refHeap{}
 		var seq uint64
 		for _, b := range ops {
