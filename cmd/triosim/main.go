@@ -151,6 +151,10 @@ func main() {
 func runAndReport(cfg triosim.Config, validate, memCheck, deterministic bool,
 	timelineHTML, traceOut, metricsOut, monitorAddr, faultsPath string,
 	faultSeed int64) {
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		log.Fatal(err)
+	}
 	plat := cfg.Platform
 	// The sim core never reads the host clock (triosimvet: no-wallclock);
 	// the WallClock metric is opt-in from the boundary. -deterministic keeps
@@ -224,10 +228,10 @@ func runAndReport(cfg triosim.Config, validate, memCheck, deterministic bool,
 		mon.MarkDone()
 	}
 	fmt.Printf("workload:        %s on %s (%d×%s, %s)\n",
-		cfg.Model, plat.Name, orDefault(cfg.NumGPUs, plat.NumGPUs),
+		cfg.Model, plat.Name, cfg.NumGPUs,
 		plat.GPU.Name, cfg.Parallelism)
 	fmt.Printf("per-iteration:   %v\n", res.PerIteration)
-	fmt.Printf("total (%d iter): %v\n", orDefault(cfg.Iterations, 1),
+	fmt.Printf("total (%d iter): %v\n", cfg.Iterations,
 		res.TotalTime)
 	fmt.Printf("compute time:    %v\n", res.ComputeTime)
 	fmt.Printf("comm time:       %v (%.1f%% of total)\n", res.CommTime,
@@ -354,10 +358,3 @@ func writeFile(path string, write func(io.Writer) error) error {
 }
 
 func gb(b int64) float64 { return float64(b) / (1 << 30) }
-
-func orDefault(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
-}

@@ -228,7 +228,8 @@ func Load(path string) (*RunSpec, error) {
 	return &spec, nil
 }
 
-// ToCore converts the spec into a core.Config.
+// ToCore converts the spec into a core.Config; core.Config.Resolve then
+// fills its defaults and rejects bad fields.
 func (s *RunSpec) ToCore() (core.Config, error) {
 	var out core.Config
 	plat, err := gpu.PlatformByName(s.Platform)

@@ -28,7 +28,11 @@ type Candidate struct {
 // All of it costs milliseconds, from one single-GPU trace — the design-space
 // exploration the single-trace capability exists for.
 func Advise(cfg Config) ([]Candidate, error) {
-	cfg, err := cfg.withDefaults()
+	// Advise picks the strategy fields itself. Resolve the rest once under
+	// TP, the one strategy with no batch rule, so a bad field fails the call
+	// rather than every variant.
+	cfg.Parallelism = TP
+	cfg, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +50,7 @@ func Advise(cfg Config) ([]Candidate, error) {
 		{PP, 2, 0},
 		{PP, 4, 0},
 	}
-	if cfg.NumGPUs >= 4 && cfg.NumGPUs%2 == 0 {
+	if cfg.NumGPUs >= 4 {
 		variants = append(variants, variant{DPPP, 2, 2}, variant{DPTP, 0, 2})
 	}
 
@@ -56,15 +60,10 @@ func Advise(cfg Config) ([]Candidate, error) {
 		c.Parallelism = v.par
 		c.MicroBatches = v.chunks
 		c.DPGroups = v.groups
-		// Hybrid batch divisibility: skip inapplicable variants.
-		if v.groups > 1 {
-			batch := c.GlobalBatch
-			if batch == 0 {
-				batch = c.TraceBatch
-			}
-			if batch%v.groups != 0 {
-				continue
-			}
+		// Skip variants the workload cannot run, e.g. a batch a hybrid
+		// cannot split.
+		if _, err := c.Resolve(); err != nil {
+			continue
 		}
 		res, err := Simulate(c)
 		if err != nil {

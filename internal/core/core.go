@@ -7,6 +7,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -17,6 +18,7 @@ import (
 	"triosim/internal/gpu"
 	"triosim/internal/hwsim"
 	"triosim/internal/memory"
+	"triosim/internal/models"
 	"triosim/internal/network"
 	"triosim/internal/perfmodel"
 	"triosim/internal/sim"
@@ -51,7 +53,8 @@ const (
 	ZeRO1 Parallelism = "zero1"
 )
 
-// Config describes one simulation.
+// Config describes one simulation. Zero fields take the defaults Resolve
+// fills in.
 type Config struct {
 	// Model is the workload name from the model zoo (used when Trace is
 	// nil).
@@ -72,11 +75,12 @@ type Config struct {
 	Topology *network.Topology
 
 	Parallelism Parallelism
-	// NumGPUs defaults to the platform's GPU count.
+	// NumGPUs defaults to the platform's GPU count (always 1 for Single).
 	NumGPUs int
-	// GlobalBatch is the simulated total mini-batch (default: trace batch).
+	// GlobalBatch is the simulated total mini-batch (default: the supplied
+	// Trace's batch, else TraceBatch).
 	GlobalBatch int
-	// MicroBatches is the GPipe chunk count for PP.
+	// MicroBatches is the GPipe chunk count for PP (default 1).
 	MicroBatches int
 	// BucketBytes is the DDP gradient bucket size (default 25 MB).
 	BucketBytes float64
@@ -153,22 +157,21 @@ type Config struct {
 // telemetryOn reports whether a Collector should run.
 func (c *Config) telemetryOn() bool { return c.Telemetry || c.Metrics != nil }
 
-func (c *Config) withDefaults() (Config, error) {
-	out := *c
-	if out.Platform == nil {
-		return out, fmt.Errorf("core: no platform")
+// Resolve returns c with every default filled in, or an error naming the
+// first field no simulation can run with. It is the one place a Config is
+// defaulted and checked, and it collects no trace: Simulate, GroundTruth,
+// MemoryFootprint and Advise start with it, and cmd/triosim and triosimd
+// call it to reject a bad spec before any work starts. A resolved Config
+// resolves to itself.
+func (c Config) Resolve() (Config, error) {
+	if c.Platform == nil {
+		return c, fmt.Errorf("core: no Platform")
 	}
-	if out.NumGPUs == 0 {
-		out.NumGPUs = out.Platform.NumGPUs
-	}
-	if out.TraceBatch == 0 {
-		out.TraceBatch = 128
-	}
-	if out.TraceGPU == "" {
-		out.TraceGPU = out.Platform.GPU.Name
-	}
-	if out.Parallelism == "" {
-		out.Parallelism = Single
+	c.Parallelism = cmp.Or(c.Parallelism, Single)
+	switch c.Parallelism {
+	case Single, DP, DDP, TP, PP, DPPP, DPTP, DPTPPP, ZeRO1:
+	default:
+		return c, fmt.Errorf("core: unknown Parallelism %q", c.Parallelism)
 	}
 	// Zero selects each count's default; a negative one would silently mean
 	// the same or fail deep in graph construction, so it is rejected here.
@@ -176,51 +179,119 @@ func (c *Config) withDefaults() (Config, error) {
 		name string
 		v    int
 	}{
-		{"NumGPUs", out.NumGPUs},
-		{"Iterations", out.Iterations}, {"GlobalBatch", out.GlobalBatch},
-		{"MicroBatches", out.MicroBatches}, {"DPGroups", out.DPGroups},
-		{"TPRanks", out.TPRanks}, {"PPStages", out.PPStages},
+		{"NumGPUs", c.NumGPUs}, {"TraceBatch", c.TraceBatch},
+		{"Iterations", c.Iterations}, {"GlobalBatch", c.GlobalBatch},
+		{"MicroBatches", c.MicroBatches}, {"DPGroups", c.DPGroups},
+		{"TPRanks", c.TPRanks}, {"PPStages", c.PPStages},
 	} {
 		if f.v < 0 {
-			return out, fmt.Errorf("core: %s must be >= 0, got %d",
-				f.name, f.v)
+			return c, fmt.Errorf("core: %s must be >= 0, got %d", f.name, f.v)
 		}
 	}
-	if out.Iterations == 0 {
-		out.Iterations = 1
+	if c.BucketBytes < 0 || math.IsNaN(c.BucketBytes) {
+		return c, fmt.Errorf("core: BucketBytes must be >= 0, got %g",
+			c.BucketBytes)
 	}
-	// Zero means the 25 MB default; a negative size would silently mean the
-	// same, so it is rejected here rather than ignored downstream.
-	if out.BucketBytes < 0 || math.IsNaN(out.BucketBytes) {
-		return out, fmt.Errorf("core: BucketBytes must be >= 0, got %g",
-			out.BucketBytes)
+
+	if c.Parallelism == Single {
+		c.NumGPUs = 1
 	}
+	c.NumGPUs = cmp.Or(c.NumGPUs, c.Platform.NumGPUs)
+	c.TraceBatch = cmp.Or(c.TraceBatch, 128)
+	c.TraceGPU = cmp.Or(c.TraceGPU, c.Platform.GPU.Name)
+	if c.Trace != nil {
+		c.GlobalBatch = cmp.Or(c.GlobalBatch, c.Trace.BatchSize)
+	}
+	c.GlobalBatch = cmp.Or(c.GlobalBatch, c.TraceBatch)
+	c.MicroBatches = cmp.Or(c.MicroBatches, 1)
+	c.BucketBytes = cmp.Or(c.BucketBytes, 25<<20)
+	c.Iterations = cmp.Or(c.Iterations, 1)
+	if c.Parallelism == DPPP || c.Parallelism == DPTP {
+		c.DPGroups = cmp.Or(c.DPGroups, 2)
+	}
+	c.TPRanks = cmp.Or(c.TPRanks, 1)
+	c.PPStages = cmp.Or(c.PPStages, 1)
+	c.Collective = cmp.Or(c.Collective, "auto")
+	c.ComputeModel = cmp.Or(c.ComputeModel, "li")
+
+	switch c.Collective {
+	case "auto", "ring", "tree", "hier":
+	default:
+		return c, fmt.Errorf("core: unknown Collective %q", c.Collective)
+	}
+	switch c.ComputeModel {
+	case "li", "roofline", "hybrid":
+	default:
+		return c, fmt.Errorf("core: unknown ComputeModel %q", c.ComputeModel)
+	}
+	// The trace's GPU must be known to collect on it, or, for a supplied
+	// trace from another GPU, for Li's Model to rescale it; the pooled
+	// models have no cross-GPU rescaling.
+	dev, field := c.TraceGPU, "TraceGPU"
+	if c.Trace != nil {
+		dev, field = c.Trace.Device, "Trace.Device"
+	}
+	crossGPU := dev != c.Platform.GPU.Name
+	if c.Trace == nil || crossGPU {
+		if _, err := gpu.SpecByName(dev); err != nil {
+			return c, fmt.Errorf("core: %s: %w", field, err)
+		}
+	}
+	if crossGPU && c.ComputeModel != "li" {
+		return c, fmt.Errorf("core: ComputeModel %q has no cross-GPU "+
+			"rescaling (trace from %s, platform %s)", c.ComputeModel, dev,
+			c.Platform.GPU.Name)
+	}
+
 	// Cross-field checks that would otherwise surface only after the trace
-	// is collected: as an extrapolator error, or not at all (each GPU would
-	// run a fractional batch share).
-	gpus := out.Platform.NumGPUs
-	if out.Topology != nil {
-		gpus = len(out.Topology.GPUs())
+	// is collected: as an extrapolator error, or not at all (each GPU or
+	// replica would run a fractional batch share).
+	gpus := c.Platform.NumGPUs
+	if c.Topology != nil {
+		gpus = len(c.Topology.GPUs())
 	}
-	if out.Parallelism != Single && out.NumGPUs > gpus {
-		return out, fmt.Errorf("core: NumGPUs %d exceeds the topology's %d GPUs",
-			out.NumGPUs, gpus)
+	if c.NumGPUs > gpus {
+		return c, fmt.Errorf("core: NumGPUs %d exceeds the topology's %d GPUs",
+			c.NumGPUs, gpus)
 	}
-	batch := out.GlobalBatch
-	if batch == 0 {
-		batch = out.TraceBatch
-		if out.Trace != nil {
-			batch = out.Trace.BatchSize
-		}
-	}
-	switch out.Parallelism {
+	switch c.Parallelism {
 	case DP, DDP, ZeRO1:
-		if batch < out.NumGPUs {
-			return out, fmt.Errorf("core: GlobalBatch %d is smaller than "+
-				"the %d data-parallel GPUs", batch, out.NumGPUs)
+		if c.GlobalBatch < c.NumGPUs {
+			return c, fmt.Errorf("core: GlobalBatch %d is smaller than "+
+				"the %d data-parallel GPUs", c.GlobalBatch, c.NumGPUs)
+		}
+	case DPPP, DPTP:
+		if c.DPGroups < 2 {
+			return c, fmt.Errorf("core: DPGroups %d: a hybrid needs at "+
+				"least 2 data-parallel groups", c.DPGroups)
+		}
+		if c.NumGPUs%c.DPGroups != 0 {
+			return c, fmt.Errorf("core: NumGPUs %d not divisible into "+
+				"DPGroups %d", c.NumGPUs, c.DPGroups)
+		}
+		if c.GlobalBatch%c.DPGroups != 0 {
+			return c, fmt.Errorf("core: GlobalBatch %d not divisible by "+
+				"DPGroups %d", c.GlobalBatch, c.DPGroups)
+		}
+	case DPTPPP:
+		// Each factor is bounded by NumGPUs first, so the product cannot
+		// overflow.
+		if c.TPRanks > c.NumGPUs || c.PPStages > c.NumGPUs ||
+			c.NumGPUs%(c.TPRanks*c.PPStages) != 0 {
+			return c, fmt.Errorf("core: NumGPUs %d not divisible by "+
+				"TPRanks×PPStages = %d×%d", c.NumGPUs, c.TPRanks, c.PPStages)
+		}
+		if dp := c.NumGPUs / (c.TPRanks * c.PPStages); c.GlobalBatch%dp != 0 {
+			return c, fmt.Errorf("core: GlobalBatch %d not divisible by the "+
+				"%d data-parallel replicas", c.GlobalBatch, dp)
 		}
 	}
-	return out, nil
+	// Last, so every check above runs (and is tested) without a zoo model.
+	if c.Trace == nil && !models.Known(c.Model) {
+		return c, fmt.Errorf("core: Model %q is not in the model zoo and no "+
+			"Trace is given", c.Model)
+	}
+	return c, nil
 }
 
 // Result is the simulator's output.
@@ -303,9 +374,6 @@ func collectTrace(cfg Config) (*trace.Trace, error) {
 	if cfg.Trace != nil {
 		return cfg.Trace, nil
 	}
-	if cfg.Model == "" {
-		return nil, fmt.Errorf("core: neither Trace nor Model given")
-	}
 	spec, err := gpu.SpecByName(cfg.TraceGPU)
 	if err != nil {
 		return nil, err
@@ -361,7 +429,6 @@ func extrapolate(cfg Config, tr *trace.Trace, topo *network.Topology,
 	}
 	switch cfg.Parallelism {
 	case Single:
-		ecfg.NumGPUs = 1
 		return extrapolator.SingleGPU(ecfg)
 	case DP:
 		return extrapolator.DataParallel(ecfg, false)
@@ -372,21 +439,11 @@ func extrapolate(cfg Config, tr *trace.Trace, topo *network.Topology,
 	case PP:
 		return extrapolator.PipelineParallel(ecfg)
 	case DPPP:
-		return extrapolator.HybridDPPP(ecfg, hybridGroups(cfg))
+		return extrapolator.HybridDPPP(ecfg, cfg.DPGroups)
 	case DPTP:
-		return extrapolator.HybridDPTP(ecfg, hybridGroups(cfg))
+		return extrapolator.HybridDPTP(ecfg, cfg.DPGroups)
 	case DPTPPP:
 		tp, pp := cfg.TPRanks, cfg.PPStages
-		if tp < 1 {
-			tp = 1
-		}
-		if pp < 1 {
-			pp = 1
-		}
-		if cfg.NumGPUs%(tp*pp) != 0 {
-			return nil, fmt.Errorf("core: %d GPUs not divisible by tp·pp = %d×%d",
-				cfg.NumGPUs, tp, pp)
-		}
 		return extrapolator.Hybrid3D(ecfg, cfg.NumGPUs/(tp*pp), tp, pp)
 	case ZeRO1:
 		return extrapolator.DataParallelZeRO(ecfg)
@@ -408,9 +465,9 @@ func (c *Config) runOpts() runOpts {
 }
 
 // execute is the common tail of Simulate and GroundTruth: extrapolate the
-// trace to the configured parallelism with the given operator timer and
-// platform effects, run the task graph over the platform network, and
-// package the results.
+// trace to the resolved configuration's parallelism with the given operator
+// timer and platform effects, run the task graph over the platform network,
+// and package the results.
 func execute(cfg Config, tr *trace.Trace, timer extrapolator.OpTimer,
 	effects hwsim.Effects) (*Result, error) {
 
@@ -453,15 +510,11 @@ func execute(cfg Config, tr *trace.Trace, timer extrapolator.OpTimer,
 		HostLoadTime: tl.UnionTime(timeline.ByPhase("hostload")),
 		Tasks:        res.Graph.Len(),
 	}
-	numGPUs := cfg.NumGPUs
-	if cfg.Parallelism == Single {
-		numGPUs = 1
-	}
 	o, err := h.finish(makespan, checkpointCost(cfg, tr), telemetry.RunInfo{
 		Model:           cfg.Model,
 		Platform:        cfg.Platform.Name,
 		Parallelism:     string(cfg.Parallelism),
-		NumGPUs:         numGPUs,
+		NumGPUs:         cfg.NumGPUs,
 		Iterations:      cfg.Iterations,
 		TotalSec:        makespan.Seconds(),
 		PerIterationSec: out.PerIteration.Seconds(),
@@ -492,7 +545,7 @@ func execute(cfg Config, tr *trace.Trace, timer extrapolator.OpTimer,
 // hardware protocol overheads, and execute over the lightweight network
 // model.
 func Simulate(cfg Config) (*Result, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -507,39 +560,25 @@ func Simulate(cfg Config) (*Result, error) {
 	return execute(cfg, tr, timer, hwsim.NoEffects)
 }
 
-// fitTimer fits the configured operator performance model on the trace,
-// rescaling Li's Model when the trace came from a different GPU than the
-// simulated platform.
+// fitTimer fits the resolved configuration's operator performance model on
+// the trace, rescaling Li's Model when the trace came from a different GPU
+// than the simulated platform (Resolve admits no other cross-GPU model).
 func fitTimer(cfg Config, tr *trace.Trace) (extrapolator.OpTimer, error) {
-	crossGPU := tr.Device != cfg.Platform.GPU.Name
 	switch cfg.ComputeModel {
-	case "", "li":
-		model, err := perfmodel.Fit(tr)
-		if err != nil {
-			return nil, err
-		}
-		if crossGPU {
-			from, err := gpu.SpecByName(tr.Device)
-			if err != nil {
-				return nil, err
-			}
-			model = model.Rescale(from, &cfg.Platform.GPU)
-		}
-		return model, nil
 	case "roofline":
-		if crossGPU {
-			return nil, fmt.Errorf("core: roofline model has no cross-GPU rescaling (trace from %s, platform %s)",
-				tr.Device, cfg.Platform.GPU.Name)
-		}
 		return perfmodel.FitRoofline(tr)
 	case "hybrid":
-		if crossGPU {
-			return nil, fmt.Errorf("core: hybrid model has no cross-GPU rescaling (trace from %s, platform %s)",
-				tr.Device, cfg.Platform.GPU.Name)
-		}
 		return perfmodel.FitHybrid(tr)
 	}
-	return nil, fmt.Errorf("core: unknown compute model %q", cfg.ComputeModel)
+	model, err := perfmodel.Fit(tr)
+	if err != nil || tr.Device == cfg.Platform.GPU.Name {
+		return model, err
+	}
+	from, err := gpu.SpecByName(tr.Device)
+	if err != nil {
+		return nil, err
+	}
+	return model.Rescale(from, &cfg.Platform.GPU), nil
 }
 
 // fitTimerCached memoizes fitTimer through the trace cache when the trace is
@@ -554,13 +593,9 @@ func fitTimerCached(cfg Config, tr *trace.Trace) (extrapolator.OpTimer, error) {
 	if err != nil {
 		return nil, err
 	}
-	cm := cfg.ComputeModel
-	if cm == "" {
-		cm = "li"
-	}
 	tk := tracecache.TimerKey{
 		Trace:        traceKey(cfg.Model, cfg.TraceBatch, spec),
-		ComputeModel: cm,
+		ComputeModel: cfg.ComputeModel,
 		Target:       cfg.Platform.GPU,
 	}
 	return cfg.Cache.GetTimer(tk, func() (tracecache.OpTimer, error) {
@@ -638,7 +673,7 @@ func checkpointCost(cfg Config, tr *trace.Trace) sim.VTime {
 // sizes with hwsim's nonlinear operator timer and the platform's protocol
 // overheads. TrioSim's predictions are validated against this.
 func GroundTruth(cfg Config) (*Result, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -647,24 +682,13 @@ func GroundTruth(cfg Config) (*Result, error) {
 	}
 	// Native trace on the platform's own GPU at the simulated global batch:
 	// real hardware does not extrapolate across batch sizes or devices.
-	batch := cfg.GlobalBatch
-	if batch == 0 {
-		batch = cfg.TraceBatch
-	}
-	tr, err := zooTrace(cfg.Cache, cfg.Model, batch, &cfg.Platform.GPU)
+	tr, err := zooTrace(cfg.Cache, cfg.Model, cfg.GlobalBatch,
+		&cfg.Platform.GPU)
 	if err != nil {
 		return nil, err
 	}
-	cfg.GlobalBatch = batch
 	return execute(cfg, tr, hwsim.NewTimer(&cfg.Platform.GPU),
 		hwsim.PlatformEffects(cfg.Platform))
-}
-
-func hybridGroups(cfg Config) int {
-	if cfg.DPGroups > 0 {
-		return cfg.DPGroups
-	}
-	return 2
 }
 
 // Comparison holds a predicted-vs-hardware pair, the paper's validation
@@ -726,7 +750,7 @@ type MemoryReport struct {
 // and to exclude batch-256 transformers. Hybrid strategies are estimated as
 // their inner strategy over the per-replica batch share.
 func MemoryFootprint(cfg Config) (*MemoryReport, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -735,10 +759,6 @@ func MemoryFootprint(cfg Config) (*MemoryReport, error) {
 		return nil, err
 	}
 	batch := cfg.GlobalBatch
-	if batch == 0 {
-		batch = tr.BatchSize
-	}
-
 	mcfg := memory.Config{Trace: tr, GlobalBatch: batch}
 	switch cfg.Parallelism {
 	case Single:
@@ -753,33 +773,23 @@ func MemoryFootprint(cfg Config) (*MemoryReport, error) {
 		mcfg.Strategy, mcfg.NumGPUs = memory.PP, cfg.NumGPUs
 		mcfg.StageOf = extrapolator.StageAssignment(tr, cfg.NumGPUs)
 	case DPPP:
-		groups := hybridGroups(cfg)
 		mcfg.Strategy = memory.PP
-		mcfg.NumGPUs = cfg.NumGPUs / groups
-		mcfg.GlobalBatch = batch / groups
+		mcfg.NumGPUs = cfg.NumGPUs / cfg.DPGroups
+		mcfg.GlobalBatch = batch / cfg.DPGroups
 		mcfg.StageOf = extrapolator.StageAssignment(tr, mcfg.NumGPUs)
 	case DPTP:
-		groups := hybridGroups(cfg)
 		mcfg.Strategy = memory.TP
-		mcfg.NumGPUs = cfg.NumGPUs / groups
-		mcfg.GlobalBatch = batch / groups
+		mcfg.NumGPUs = cfg.NumGPUs / cfg.DPGroups
+		mcfg.GlobalBatch = batch / cfg.DPGroups
 	case DPTPPP:
 		// Conservative per-GPU bound: price the pipeline dimension only
 		// (each stage further TP-shards its weights, so the true footprint
 		// is lower).
 		tp, pp := cfg.TPRanks, cfg.PPStages
-		if tp < 1 {
-			tp = 1
-		}
-		if pp < 1 {
-			pp = 1
-		}
 		mcfg.Strategy = memory.PP
 		mcfg.NumGPUs = pp
 		mcfg.GlobalBatch = batch * tp * pp / cfg.NumGPUs
 		mcfg.StageOf = extrapolator.StageAssignment(tr, pp)
-	default:
-		return nil, fmt.Errorf("core: unknown parallelism %q", cfg.Parallelism)
 	}
 	fp, err := memory.Estimate(mcfg)
 	if err != nil {

@@ -252,6 +252,19 @@ func TestConfigErrors(t *testing.T) {
 		{"GlobalBatch", Config{Parallelism: DP, GlobalBatch: 3}},
 		{"GlobalBatch", Config{Parallelism: ZeRO1, GlobalBatch: 3}},
 		{"GlobalBatch", Config{Parallelism: DDP, TraceBatch: 2}},
+		{"Collective", Config{Parallelism: DDP, Collective: "mesh"}},
+		{"ComputeModel", Config{ComputeModel: "oracle"}},
+		{"ComputeModel", Config{ComputeModel: "roofline", TraceGPU: "A40"}},
+		{"ComputeModel", Config{ComputeModel: "hybrid", TraceGPU: "H100"}},
+		{"TraceBatch", Config{TraceBatch: -1}},
+		{"DPGroups", Config{Parallelism: DPTP, DPGroups: 1}},
+		{"NumGPUs", Config{Parallelism: DPPP, NumGPUs: 3}},
+		{"GlobalBatch", Config{Parallelism: DPTP, GlobalBatch: 7}},
+		{"TPRanks", Config{Parallelism: DPTPPP, TPRanks: 3}},
+		{"TPRanks", Config{Parallelism: DPTPPP, TPRanks: 1 << 40,
+			PPStages: 1 << 40}},
+		{"GlobalBatch", Config{Parallelism: DPTPPP, TPRanks: 2,
+			GlobalBatch: 3}},
 	} {
 		c.cfg.Model, c.cfg.Platform = "no-such-model", p2()
 		if _, err := Simulate(c.cfg); err == nil ||

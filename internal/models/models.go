@@ -34,6 +34,9 @@ func Build(name string, batch int) (*trace.Trace, error) {
 	return b.finish(), nil
 }
 
+// Known reports whether name is in the model zoo.
+func Known(name string) bool { return registry[name] != nil }
+
 // List returns all model names in sorted order.
 func List() []string {
 	names := make([]string, 0, len(registry))

@@ -15,7 +15,6 @@ import (
 
 func TestHookCollectsProgress(t *testing.T) {
 	m := New()
-	m.KindOf = func(sim.Event) string { return "func" }
 	eng := sim.NewSerialEngine()
 	eng.RegisterHook(m.Hook())
 	for i := 1; i <= 5; i++ {
@@ -36,9 +35,6 @@ func TestHookCollectsProgress(t *testing.T) {
 	}
 	if !snap.Done {
 		t.Fatal("done flag missing")
-	}
-	if snap.EventsByKind["func"] != 5 {
-		t.Fatalf("by-kind = %v", snap.EventsByKind)
 	}
 }
 
@@ -121,9 +117,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsFallbackWithoutRegistry: a bare monitor still serves the
+// events counter, as one total (per-kind series come from the registry).
 func TestMetricsFallbackWithoutRegistry(t *testing.T) {
 	m := New()
-	m.KindOf = func(sim.Event) string { return "func" }
 	eng := sim.NewSerialEngine()
 	eng.RegisterHook(m.Hook())
 	eng.Schedule(sim.NewFuncEvent(1, func(sim.VTime) error { return nil }))
@@ -138,7 +135,7 @@ func TestMetricsFallbackWithoutRegistry(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), `triosim_events_total{kind="func"} 1`) {
+	if !strings.Contains(string(body), "\ntriosim_events_total 1\n") {
 		t.Fatalf("fallback /metrics missing event count:\n%s", body)
 	}
 }
@@ -215,7 +212,6 @@ func TestHandlerDuringRunRace(t *testing.T) {
 
 func TestSnapshotIsolation(t *testing.T) {
 	m := New()
-	m.KindOf = func(sim.Event) string { return "x" }
 	eng := sim.NewSerialEngine()
 	eng.RegisterHook(m.Hook())
 	eng.Schedule(sim.NewFuncEvent(1, func(sim.VTime) error { return nil }))
@@ -223,8 +219,8 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := m.Snapshot()
-	snap.EventsByKind["x"] = 999
-	if m.Snapshot().EventsByKind["x"] == 999 {
-		t.Fatal("snapshot shares internal map")
+	snap.Events = 999
+	if got := m.Snapshot().Events; got != 1 {
+		t.Fatalf("events = %d after editing a returned snapshot, want 1", got)
 	}
 }

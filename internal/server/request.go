@@ -85,10 +85,14 @@ type compiled struct {
 	digest string
 }
 
-// compile validates a request and computes its coalescing digest. Validation
-// runs the same constructors a run would (config.RunSpec.ToCore, topology
-// Build, faults.Parse), so a request that compiles cannot fail on
-// configuration grounds later — only on cancellation or workload errors.
+// compile validates a request and computes its coalescing digest. A run
+// spec passes the same boundary the library and CLI use: RunSpec.ToCore
+// (platform, topology Build) and then core.Config.Resolve, which rejects
+// every bad field (unknown parallelism, collective or model, GPU counts and
+// batch splits the strategy cannot run) before any trace is collected.
+// Fault specs go through faults.Parse. So a request that compiles cannot
+// fail on configuration grounds later — only on cancellation or workload
+// errors.
 func compile(req *Request) (*compiled, error) {
 	if req == nil {
 		return nil, fmt.Errorf("empty request")
@@ -116,10 +120,11 @@ func compile(req *Request) (*compiled, error) {
 		if req.Run.TraceFile != "" {
 			return nil, fmt.Errorf("trace_file is not accepted over the API")
 		}
-		if req.Run.Model == "" {
-			return nil, fmt.Errorf("run spec needs a model")
+		cfg, err := req.Run.ToCore()
+		if err != nil {
+			return nil, err
 		}
-		if _, err := req.Run.ToCore(); err != nil {
+		if _, err := cfg.Resolve(); err != nil {
 			return nil, err
 		}
 	case KindServe:

@@ -183,6 +183,14 @@ func TestInvalidRequests(t *testing.T) {
 		"serve nomodel": {Serve: &ServeSpec{Platform: "P1"}},
 		"bad faults": {Run: simRequest(0).Run,
 			Faults: &faults.Spec{Events: []faults.EventSpec{{Kind: "nonsense"}}}},
+		// Admission resolves the core config: a spec the run would reject
+		// is refused here, before it is queued.
+		"bad parallelism": {Run: &config.RunSpec{Model: "resnet18", Platform: "P2", Parallelism: "bogus"}},
+		"bad collective":  {Run: &config.RunSpec{Model: "resnet18", Platform: "P2", Parallelism: "ddp", Collective: "mesh"}},
+		"negative gpus":   {Run: &config.RunSpec{Model: "resnet18", Platform: "P2", Parallelism: "ddp", NumGPUs: -1}},
+		"bad model":       {Run: &config.RunSpec{Model: "nosuchmodel", Platform: "P2", Parallelism: "ddp"}},
+		"hybrid split":    {Run: &config.RunSpec{Model: "resnet18", Platform: "P2", Parallelism: "dp+pp", NumGPUs: 3}},
+		"small batch":     {Run: &config.RunSpec{Model: "resnet18", Platform: "P2", Parallelism: "ddp", GlobalBatch: 3}},
 	} {
 		_, err := s.Submit(req)
 		se, ok := err.(*StatusError)

@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
 # Tier-2 gate: everything CI runs. Tier-1 (go build && go test) is a subset;
-# this adds the race detector, go vet, TrioSim's own determinism analyzers
-# (triosimvet), and the double-run replay-digest check.
+# this adds gofmt, the race detector, go vet, TrioSim's own determinism
+# analyzers (triosimvet), and the double-run replay-digest check.
 #
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l (any unformatted file fails the gate)"
+unformatted="$(gofmt -l .)"
+[[ -z "$unformatted" ]] ||
+  { echo "gofmt -l lists files that need gofmt -w:"; echo "$unformatted"; exit 1; }
 
 echo "==> go vet ./..."
 go vet ./...
